@@ -42,9 +42,22 @@ def as_number(value: Number) -> Union[Fraction, float]:
 
 
 class Term:
-    """Base class of all SPCF terms."""
+    """Base class of all SPCF terms.
+
+    Terms are immutable, so :func:`free_variables` memoises its answer on
+    each node it visits, in the instance attribute ``_free_variables``.  The
+    memo is not a dataclass field: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.fields`` never see it, and pickling drops it.
+    """
 
     __slots__ = ()
+
+    _free_variables: Optional[FrozenSet[str]] = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_free_variables", None)
+        return state or None
 
     def __call__(self, *args: "Term") -> "Term":
         """Left-associated application: ``f(a, b)`` builds ``App(App(f, a), b)``."""
@@ -192,41 +205,69 @@ def term_size(term: Term) -> int:
     return sum(1 for _ in subterms(term))
 
 
+_NO_FREE_VARIABLES: FrozenSet[str] = frozenset()
+
+
+def _term_children(term: Term) -> Tuple[Term, ...]:
+    if isinstance(term, (Var, Numeral, Sample)) or is_extension_leaf(term):
+        return ()
+    if isinstance(term, (Lam, Fix)):
+        return (term.body,)
+    if isinstance(term, App):
+        return (term.fn, term.arg)
+    if isinstance(term, If):
+        return (term.cond, term.then, term.orelse)
+    if isinstance(term, Prim):
+        return term.args
+    if isinstance(term, Score):
+        return (term.arg,)
+    raise TypeError(f"unknown term: {term!r}")
+
+
+def _free_of_node(term: Term, children: Tuple[Term, ...]) -> FrozenSet[str]:
+    """Free variables of ``term`` from the memoised sets of its ``children``."""
+    if isinstance(term, Var):
+        return frozenset((term.name,))
+    collected = _NO_FREE_VARIABLES
+    for child in children:
+        inner = child._free_variables
+        if inner and not inner <= collected:
+            collected = collected | inner if collected else inner
+    if isinstance(term, Lam) and term.var in collected:
+        return collected - {term.var}
+    if isinstance(term, Fix) and (term.fvar in collected or term.var in collected):
+        return collected - {term.fvar, term.var}
+    return collected
+
+
 def free_variables(term: Term) -> FrozenSet[str]:
     """The set of free variables of ``term``.
 
-    Walks with an explicit stack of (subterm, bound-variables) pairs: deep
-    recursion bodies (e.g. the ``nested`` program at large rank) are far
-    deeper than Python's recursion limit allows a recursive walk to be.
+    Memoised per node (see :class:`Term`): a node's set is computed once,
+    from its children's, so substitution -- which asks for the free
+    variables of every replacement, and of a binder's body whenever it
+    must rename the binder -- never re-walks a shared subterm.  The first
+    walk runs post-order on an explicit stack: deep recursion bodies (e.g.
+    the ``nested`` program at large rank) are far deeper than Python's
+    recursion limit allows a recursive walk to be.
     """
-    collected = set()
-    stack = [(term, frozenset())]
+    memo = term._free_variables
+    if memo is not None:
+        return memo
+    stack = [term]
     while stack:
-        term, bound = stack.pop()
-        if isinstance(term, Var):
-            if term.name not in bound:
-                collected.add(term.name)
-        elif isinstance(term, (Numeral, Sample)) or is_extension_leaf(term):
-            pass
-        elif isinstance(term, Lam):
-            stack.append((term.body, bound | {term.var}))
-        elif isinstance(term, Fix):
-            stack.append((term.body, bound | {term.fvar, term.var}))
-        elif isinstance(term, App):
-            stack.append((term.fn, bound))
-            stack.append((term.arg, bound))
-        elif isinstance(term, If):
-            stack.append((term.cond, bound))
-            stack.append((term.then, bound))
-            stack.append((term.orelse, bound))
-        elif isinstance(term, Prim):
-            for arg in term.args:
-                stack.append((arg, bound))
-        elif isinstance(term, Score):
-            stack.append((term.arg, bound))
-        else:
-            raise TypeError(f"unknown term: {term!r}")
-    return frozenset(collected)
+        node = stack[-1]
+        if node._free_variables is not None:
+            stack.pop()
+            continue
+        children = _term_children(node)
+        pending = [child for child in children if child._free_variables is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        object.__setattr__(node, "_free_variables", _free_of_node(node, children))
+    return term._free_variables
 
 
 def is_closed(term: Term) -> bool:
@@ -282,6 +323,8 @@ def _enter_binders(
     narrowed = {name: value for name, value in replacements.items() if name not in binders}
     if not narrowed:
         return None
+    if not any(binder in avoid for binder in binders):
+        return binders, narrowed, avoid
     new_binders = []
     renaming: Dict[str, Term] = {}
     taken = avoid | free_variables(body) | set(binders)

@@ -31,6 +31,20 @@ The same stepping machinery supports a call-by-value mode and a distinguished
 *recursion marker*; the AST verifier (Sec. 6) uses those to build symbolic
 execution trees of recursion bodies.
 
+Stepping is a *focused* machine (refocusing, Danvy & Nielsen, BRICS
+RS-04-26).  A path's configuration is the subterm in focus plus an explicit
+stack of evaluation-context frames -- ``[] M``, CbV ``V []``, ``if([], N,
+P)``, ``f(r.., [], M..)`` and ``score([])``.  The path runner decomposes a
+node's term once when it resumes the node, then contracts and refocuses
+locally (a value in focus pops one frame), so a step costs amortised O(1)
+whatever the context depth.  The context is plugged back into a whole term
+only at a branch, a suspension or termination: configurations, node keys
+and the frontier codec only ever see whole terms.  The whole-term
+:meth:`SymbolicStepper.step` is the same transition (decompose from the
+root, contract, plug).  Substitution relies on the free-variable memo of
+:func:`repro.spcf.syntax.free_variables`, kept on each immutable term node
+outside its dataclass fields.
+
 Invariants
 ----------
 
@@ -75,6 +89,7 @@ from repro.symbolic.constraints import Constraint, ConstraintSet, Relation
 from repro.symbolic.values import (
     ConstVal,
     SampleVar,
+    StarVal,
     SymNumeral,
     SymVal,
     simplify_prim,
@@ -108,8 +123,8 @@ def as_symbolic_value(term: Term) -> Optional[SymVal]:
     return None
 
 
-def _is_symbolic_value(term: Term) -> bool:
-    return isinstance(term, (Var, Numeral, SymNumeral, Lam, Fix, RecMarker))
+# The symbolic values: terms the machine never reduces.
+_VALUE_TYPES = (Var, Numeral, SymNumeral, Lam, Fix, RecMarker)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +181,56 @@ class StepStuck:
 StepOutcome = Union[StepValue, StepTerm, StepBranch, StepScore, StepRecCall, StepStuck]
 
 
+# Evaluation-context frames.  A focused configuration is the subterm in focus
+# plus a stack of frames, innermost last; each frame is a tuple tagged by its
+# kind, and ``[]`` marks where the focus plugs in.
+_FN = 0  # ``[] M``: (_FN, M)
+_ARG = 1  # CbV ``V []``: (_ARG, V)
+_IF = 2  # ``if([], N, P)``: (_IF, N, P)
+_PRIM = 3  # ``f(r.., [], M..)``: (_PRIM, f, (r..), (M..))
+_SCORE = 4  # ``score([])``: (_SCORE,)
+
+# Transitions of the focused machine (see ``SymbolicStepper._advance``);
+# each is a tuple tagged by its kind, the redex-local counterpart of a
+# ``Step*`` outcome.
+_DONE = 0  # (_DONE, value): the whole term is a value
+_REDUCED = 1  # (_REDUCED, contractum, consumed_sample)
+_SCORED = 2  # (_SCORED, value, contractum)
+_FORKED = 3  # (_FORKED, guard, then_term, else_term)
+_RECURSED = 4  # (_RECURSED, argument, contractum)
+_NO_RULE = 5  # (_NO_RULE, reason)
+
+
+def _plug_frame(frame: tuple, term: Term) -> Term:
+    """Fill the hole of one frame with ``term``."""
+    kind = frame[0]
+    if kind == _FN:
+        return App(term, frame[1])
+    if kind == _ARG:
+        return App(frame[1], term)
+    if kind == _IF:
+        return If(term, frame[1], frame[2])
+    if kind == _PRIM:
+        return Prim(frame[1], frame[2] + (term,) + frame[3])
+    return Score(term)
+
+
+def _plug(frames: List[tuple], term: Term) -> Term:
+    """Plug ``term`` into the evaluation context ``frames``."""
+    for frame in reversed(frames):
+        term = _plug_frame(frame, term)
+    return term
+
+
 class SymbolicStepper:
-    """Performs single symbolic reduction steps under a chosen strategy."""
+    """Symbolic reduction under a chosen strategy, as a focused machine.
+
+    :meth:`_advance` refocuses from the subterm in focus to the next redex
+    and contracts it, keeping the evaluation context as a frame stack; a
+    caller that keeps the stack between transitions (the explorer's path
+    runner) pays amortised O(1) per step.  :meth:`step` is the whole-term
+    view of the same transition: decompose from the root, contract, plug.
+    """
 
     def __init__(
         self,
@@ -179,129 +242,121 @@ class SymbolicStepper:
 
     def step(self, term: Term, next_variable: int) -> StepOutcome:
         """Reduce the unique redex of ``term``; fresh samples use ``next_variable``."""
-        if _is_symbolic_value(term):
+        frames: List[tuple] = []
+        transition = self._advance(term, frames, next_variable)
+        kind = transition[0]
+        if kind == _DONE:
             return StepValue()
-        return self._step(term, next_variable)
-
-    # The private helpers return outcomes whose continuation terms are the
-    # *redex-local* results; contexts are rebuilt on the way out.
-
-    def _step(self, term: Term, next_variable: int) -> StepOutcome:
-        if isinstance(term, App):
-            return self._step_app(term, next_variable)
-        if isinstance(term, If):
-            return self._step_if(term, next_variable)
-        if isinstance(term, Prim):
-            return self._step_prim(term, next_variable)
-        if isinstance(term, Sample):
-            return StepTerm(SymNumeral(SampleVar(next_variable)), consumed_sample=True)
-        if isinstance(term, Score):
-            return self._step_score(term, next_variable)
-        if isinstance(term, Var):
-            return StepStuck(f"free variable {term.name!r}")
-        return StepStuck(f"cannot step term {term!r}")
-
-    def _step_app(self, term: App, next_variable: int) -> StepOutcome:
-        fn, arg = term.fn, term.arg
-        if not _is_symbolic_value(fn):
-            return self._in_context(
-                self._step(fn, next_variable), lambda t: App(t, arg)
+        if kind == _REDUCED:
+            return StepTerm(_plug(frames, transition[1]), transition[2])
+        if kind == _SCORED:
+            return StepScore(transition[1], _plug(frames, transition[2]))
+        if kind == _FORKED:
+            return StepBranch(
+                transition[1], _plug(frames, transition[2]), _plug(frames, transition[3])
             )
-        if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-            if isinstance(fn, (Lam, Fix, RecMarker)):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-        if isinstance(fn, RecMarker):
-            argument = as_symbolic_value(arg)
-            if argument is None and self.strategy is Strategy.CBV:
-                return StepStuck("recursion marker applied to a non-numeric value")
-            # The outcome of the recursive call is the unknown numeral ``star``
-            # (Fig. 5); the continuation resumes with it in redex position.
-            from repro.symbolic.values import StarVal
+        if kind == _RECURSED:
+            return StepRecCall(transition[1], _plug(frames, transition[2]))
+        return StepStuck(transition[1])
 
-            return StepRecCall(
-                argument if argument is not None else ConstVal(0),
-                SymNumeral(StarVal()),
-            )
-        if isinstance(fn, Lam):
-            if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-            return StepTerm(substitute(fn.body, {fn.var: arg}))
-        if isinstance(fn, Fix):
-            if self.strategy is Strategy.CBV and not _is_symbolic_value(arg):
-                return self._in_context(
-                    self._step(arg, next_variable), lambda t: App(fn, t)
-                )
-            return StepTerm(substitute(fn.body, {fn.var: arg, fn.fvar: fn}))
-        return StepStuck("application of a non-function value")
+    def _advance(self, term: Term, frames: List[tuple], next_variable: int) -> tuple:
+        """Refocus from ``term`` in context ``frames`` and contract the redex.
 
-    def _step_if(self, term: If, next_variable: int) -> StepOutcome:
-        guard = as_symbolic_value(term.cond)
-        if guard is not None:
-            if isinstance(guard, ConstVal):
-                chosen = term.then if guard.value <= 0 else term.orelse
-                return StepTerm(chosen)
-            return StepBranch(guard, term.then, term.orelse)
-        if _is_symbolic_value(term.cond):
-            return StepStuck("conditional guard is not of type R")
-        return self._in_context(
-            self._step(term.cond, next_variable),
-            lambda t: If(t, term.then, term.orelse),
-        )
-
-    def _step_prim(self, term: Prim, next_variable: int) -> StepOutcome:
-        for index, argument in enumerate(term.args):
-            if as_symbolic_value(argument) is not None:
+        ``frames`` is updated in place to the redex's context, so plugging the
+        returned contractum into it gives the reduct of the whole term.
+        Returns ``(_DONE, term)`` when the whole term is a value.
+        """
+        cbv = self.strategy is Strategy.CBV
+        while True:
+            if isinstance(term, _VALUE_TYPES):
+                if not frames:
+                    return (_DONE, term)
+                term = _plug_frame(frames.pop(), term)
+            if isinstance(term, App):
+                fn, arg = term.fn, term.arg
+                if not isinstance(fn, _VALUE_TYPES):
+                    frames.append((_FN, arg))
+                    term = fn
+                    continue
+                if isinstance(fn, (Lam, Fix, RecMarker)):
+                    if cbv and not isinstance(arg, _VALUE_TYPES):
+                        frames.append((_ARG, fn))
+                        term = arg
+                        continue
+                    if isinstance(fn, Lam):
+                        return (_REDUCED, substitute(fn.body, {fn.var: arg}), False)
+                    if isinstance(fn, Fix):
+                        return (
+                            _REDUCED,
+                            substitute(fn.body, {fn.var: arg, fn.fvar: fn}),
+                            False,
+                        )
+                    # The outcome of the recursive call is the unknown
+                    # numeral ``star`` (Fig. 5); the continuation resumes
+                    # with it in redex position.
+                    argument = as_symbolic_value(arg)
+                    if argument is None and cbv:
+                        return (_NO_RULE, "recursion marker applied to a non-numeric value")
+                    return (
+                        _RECURSED,
+                        argument if argument is not None else ConstVal(0),
+                        SymNumeral(StarVal()),
+                    )
+                return (_NO_RULE, "application of a non-function value")
+            if isinstance(term, If):
+                guard = as_symbolic_value(term.cond)
+                if guard is not None:
+                    if isinstance(guard, ConstVal):
+                        return (
+                            _REDUCED,
+                            term.then if guard.value <= 0 else term.orelse,
+                            False,
+                        )
+                    return (_FORKED, guard, term.then, term.orelse)
+                if isinstance(term.cond, _VALUE_TYPES):
+                    return (_NO_RULE, "conditional guard is not of type R")
+                frames.append((_IF, term.then, term.orelse))
+                term = term.cond
                 continue
-            if _is_symbolic_value(argument):
-                return StepStuck(f"primitive argument {index} is not of type R")
-            prefix = term.args[:index]
-            suffix = term.args[index + 1 :]
-            return self._in_context(
-                self._step(argument, next_variable),
-                lambda t: Prim(term.op, prefix + (t,) + suffix),
-            )
-        values = [as_symbolic_value(argument) for argument in term.args]
-        if any(value.contains_star() for value in values):
-            # f(..., star, ...) reduces to star (Fig. 5).
-            from repro.symbolic.values import StarVal
-
-            return StepTerm(SymNumeral(StarVal()))
-        try:
-            result = simplify_prim(term.op, values, self.registry)
-        except (ValueError, ZeroDivisionError, OverflowError) as error:
-            return StepStuck(f"primitive {term.op!r} failed: {error}")
-        return StepTerm(SymNumeral(result))
-
-    def _step_score(self, term: Score, next_variable: int) -> StepOutcome:
-        value = as_symbolic_value(term.arg)
-        if value is not None:
-            if isinstance(value, ConstVal):
-                if value.value < 0:
-                    return StepStuck("score of a negative constant")
-                return StepTerm(SymNumeral(value))
-            return StepScore(value, SymNumeral(value))
-        if _is_symbolic_value(term.arg):
-            return StepStuck("score argument is not of type R")
-        return self._in_context(
-            self._step(term.arg, next_variable), lambda t: Score(t)
-        )
-
-    @staticmethod
-    def _in_context(outcome: StepOutcome, plug) -> StepOutcome:
-        """Rebuild the surrounding evaluation context around an inner outcome."""
-        if isinstance(outcome, StepTerm):
-            return StepTerm(plug(outcome.term), outcome.consumed_sample)
-        if isinstance(outcome, StepBranch):
-            return StepBranch(outcome.guard, plug(outcome.then_term), plug(outcome.else_term))
-        if isinstance(outcome, StepScore):
-            return StepScore(outcome.value, plug(outcome.term))
-        if isinstance(outcome, StepRecCall):
-            return StepRecCall(outcome.argument, plug(outcome.term))
-        return outcome
+            if isinstance(term, Prim):
+                args = term.args
+                values = []
+                for index, argument in enumerate(args):
+                    value = as_symbolic_value(argument)
+                    if value is not None:
+                        values.append(value)
+                        continue
+                    if isinstance(argument, _VALUE_TYPES):
+                        return (_NO_RULE, f"primitive argument {index} is not of type R")
+                    frames.append((_PRIM, term.op, args[:index], args[index + 1 :]))
+                    term = argument
+                    break
+                else:
+                    if any(value.contains_star() for value in values):
+                        # f(..., star, ...) reduces to star (Fig. 5).
+                        return (_REDUCED, SymNumeral(StarVal()), False)
+                    try:
+                        result = simplify_prim(term.op, values, self.registry)
+                    except (ValueError, ZeroDivisionError, OverflowError) as error:
+                        return (_NO_RULE, f"primitive {term.op!r} failed: {error}")
+                    return (_REDUCED, SymNumeral(result), False)
+                continue
+            if isinstance(term, Sample):
+                return (_REDUCED, SymNumeral(SampleVar(next_variable)), True)
+            if isinstance(term, Score):
+                value = as_symbolic_value(term.arg)
+                if value is not None:
+                    if isinstance(value, ConstVal):
+                        if value.value < 0:
+                            return (_NO_RULE, "score of a negative constant")
+                        return (_REDUCED, SymNumeral(value), False)
+                    return (_SCORED, value, SymNumeral(value))
+                if isinstance(term.arg, _VALUE_TYPES):
+                    return (_NO_RULE, "score argument is not of type R")
+                frames.append((_SCORE,))
+                term = term.arg
+                continue
+            return (_NO_RULE, f"cannot step term {term!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -800,58 +855,72 @@ class SymbolicExplorer:
     def _run_to_event(
         self, configuration: _Configuration, max_steps: int, stats=None
     ) -> Tuple[str, object]:
+        """Step one path until it terminates, sticks, branches or runs out of budget.
+
+        The configuration's term is decomposed once, on entry; from then on
+        the focused machine keeps its frame stack and refocuses locally.  The
+        context is plugged back into a whole term only where a term leaves
+        the machine: at a branch (each child's term) and at suspension (the
+        configuration keeps the whole term, so node keys and the frontier
+        codec never see a frame stack).  At termination the frame stack is
+        empty and the focus is the whole value.
+        """
         term = configuration.term
         constraints = configuration.constraints
         next_variable = configuration.next_variable
         steps = configuration.steps
         branches = configuration.branches
+        frames: List[tuple] = []
+        advance = self.stepper._advance
         executed = 0
         try:
             while steps < max_steps:
-                outcome = self.stepper.step(term, next_variable)
-                if isinstance(outcome, StepValue):
-                    return (
-                        "terminated",
-                        SymbolicPath(constraints, next_variable, steps, term, branches),
-                    )
-                if isinstance(outcome, StepTerm):
-                    term = outcome.term
-                    if outcome.consumed_sample:
+                transition = advance(term, frames, next_variable)
+                kind = transition[0]
+                if kind == _REDUCED:
+                    term = transition[1]
+                    if transition[2]:
                         next_variable += 1
                     steps += 1
                     executed += 1
                     continue
-                if isinstance(outcome, StepScore):
-                    constraints = constraints.add(Constraint(outcome.value, Relation.GE))
-                    term = outcome.term
+                if kind == _SCORED:
+                    constraints = constraints.add(Constraint(transition[1], Relation.GE))
+                    term = transition[2]
                     steps += 1
                     executed += 1
                     continue
-                if isinstance(outcome, StepBranch):
+                if kind == _DONE:
+                    return (
+                        "terminated",
+                        SymbolicPath(
+                            constraints, next_variable, steps, transition[1], branches
+                        ),
+                    )
+                if kind == _FORKED:
                     executed += 1  # the step into the branches
+                    guard = transition[1]
                     left = _Configuration(
-                        outcome.then_term,
-                        constraints.add(Constraint(outcome.guard, Relation.LE)),
+                        _plug(frames, transition[2]),
+                        constraints.add(Constraint(guard, Relation.LE)),
                         next_variable,
                         steps + 1,
                         branches + (True,),
                     )
                     right = _Configuration(
-                        outcome.else_term,
-                        constraints.add(Constraint(outcome.guard, Relation.GT)),
+                        _plug(frames, transition[3]),
+                        constraints.add(Constraint(guard, Relation.GT)),
                         next_variable,
                         steps + 1,
                         branches + (False,),
                     )
                     return ("branch", [left, right])
-                if isinstance(outcome, StepRecCall):
+                if kind == _RECURSED:
                     return ("stuck", "unexpected recursion marker during exploration")
-                if isinstance(outcome, StepStuck):
-                    return ("stuck", outcome.reason)
-                raise TypeError(f"unexpected step outcome {outcome!r}")
+                return ("stuck", transition[1])
             # Budget exhausted mid-path: record the progress in place so a
             # deeper budget resumes here instead of re-deriving the prefix.
-            configuration.term = term
+            configuration.term = _plug(frames, term)
             configuration.constraints = constraints
             configuration.next_variable = next_variable
             configuration.steps = steps

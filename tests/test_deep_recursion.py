@@ -1,9 +1,10 @@
 """Deep-term regression tests: the explicit-work-stack tree and term walks.
 
-``astcheck/exectree._build``, ``spcf.syntax.substitute`` and
-``spcf.syntax.free_variables`` run on explicit stacks, so recursion bodies
-far deeper than the interpreter's recursion limit (e.g. the ``nested``
-program at large rank) must neither overflow nor change results.  The
+``astcheck/exectree._build``, ``spcf.syntax.substitute``,
+``spcf.syntax.free_variables`` and the focused symbolic machine run on
+explicit stacks, so recursion bodies and evaluation contexts far deeper than
+the interpreter's recursion limit (e.g. the ``nested`` program at large
+rank, or a heavily padded guard) must neither overflow nor change results.  The
 equivalence tests compare the iterative substitution against a direct
 recursive reference implementation on binder-heavy terms.
 """
@@ -88,6 +89,37 @@ class TestDeepTerms:
         assert tree.prob_node_count == 5_000
         assert tree.max_recursive_calls == 1
         assert rendering.count("branch[") == 5_000
+
+
+class TestDeepContexts:
+    """Evaluation contexts deeper than the recursion limit.
+
+    ``sig-branch3(3/5,pad=N)`` pads the round guard with ``N`` nested
+    ``+ 0`` folds, so reducing the guard happens under an evaluation context
+    ``N`` frames deep.
+    """
+
+    def test_explorer_steps_under_a_context_deeper_than_the_recursion_limit(self):
+        from repro.programs import sigmoid_tri_branching
+        from repro.symbolic import SymbolicExplorer
+
+        program = sigmoid_tri_branching(Fraction(3, 5), padding=1200)
+        with LowRecursionLimit():
+            result = SymbolicExplorer(program.strategy).explore(
+                program.applied, max_steps_per_path=3000
+            )
+        assert len(result.terminated) == 1
+        assert result.unfinished == 2
+        assert result.stuck == 0
+
+    def test_cbv_execution_tree_under_a_context_deeper_than_the_recursion_limit(self):
+        from repro.programs import sigmoid_tri_branching
+
+        program = sigmoid_tri_branching(Fraction(3, 5), padding=600)
+        with LowRecursionLimit():
+            tree = build_execution_tree(program.fix)
+        assert tree.max_recursive_calls == 3
+        assert tree.prob_node_count == 1
 
 
 class TestSubstituteEquivalence:
