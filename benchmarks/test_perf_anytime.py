@@ -42,7 +42,7 @@ import time
 from pathlib import Path
 
 from repro.astcheck import build_execution_tree
-from repro.batch import BatchCache
+from repro.batch import open_store
 from repro.geometry import MeasureEngine, MeasureOptions
 from repro.lowerbound import LowerBoundEngine
 from repro.programs import anytime_programs, golden_ratio
@@ -176,7 +176,7 @@ def test_incremental_schedule_is_bit_identical_and_cuts_steps_and_boxes():
     depth = _SCHEDULE[-1]
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-anytime-bench-"))
     try:
-        cache = BatchCache(cache_dir)
+        cache = open_store(cache_dir)
         shallow_engine = MeasureEngine(MeasureOptions(sweep_depth=11))
         LowerBoundEngine(
             strategy=program.strategy, measure_engine=shallow_engine

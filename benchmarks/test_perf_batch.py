@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import BatchCache, run_batch, table1_suite, table2_suite
+from repro.batch import open_store, run_batch, table1_suite, table2_suite
 
 _RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 _PARALLEL_SPEEDUP_FLOOR = 1.5
@@ -78,8 +78,8 @@ def test_parallel_speedup_and_warm_cache():
     # -- cold vs warm over one persistent cache directory --------------------
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-batch-bench-"))
     try:
-        cold_seconds, cold_report = _timed_run(specs, jobs=1, cache=BatchCache(cache_dir))
-        warm_seconds, warm_report = _timed_run(specs, jobs=1, cache=BatchCache(cache_dir))
+        cold_seconds, cold_report = _timed_run(specs, jobs=1, cache=open_store(cache_dir))
+        warm_seconds, warm_report = _timed_run(specs, jobs=1, cache=open_store(cache_dir))
         assert _lines(cold_report) == _lines(warm_report)
         assert warm_report.cache_hits == len(specs)
         warm_ratio = warm_seconds / cold_seconds if cold_seconds else 0.0

@@ -21,7 +21,7 @@ Asserted (deterministically, so it can run in CI):
   grows,
 * across the multi-block programs, the block engine examines at least
   ``4x`` fewer sweep boxes than the joint engine,
-* a warm rerun seeded from the persistent ``sweeps-<prefix>.json`` store
+* a warm rerun seeded from the persistent sweep store
   performs **zero** base sweep computations and reproduces the cold bounds
   byte-for-byte.
 
@@ -36,7 +36,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.batch import BatchCache, run_batch
+from repro.batch import open_store, run_batch
 from repro.batch.jobs import decode_number
 from repro.batch.suites import sweep_suite
 from repro.geometry import MeasureEngine, MeasureOptions
@@ -129,11 +129,11 @@ def test_block_sweep_cuts_boxes_and_tightens_bounds():
     # sweep from the store: zero base sweep computations, identical bounds.
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-sweep-bench-"))
     try:
-        cache = BatchCache(cache_dir)
+        cache = open_store(cache_dir)
         specs = sweep_suite(depth=_DEPTH)
         cold_report = run_batch(specs, jobs=1, cache=cache)
         assert all(result.ok for result in cold_report.results)
-        assert sorted(cache_dir.glob("sweeps-*.json")), "sweep shards must persist"
+        assert cache.sweep_entry_count(MeasureEngine()) > 0, "sweep entries must persist"
 
         warm_engine = MeasureEngine()
         warm_engine.import_cache_entries(cache.load_measures(warm_engine))

@@ -6,11 +6,18 @@ PEP 660 editable installs (which build a wheel) are unavailable.  This classic
 --no-build-isolation`` fall back to the egg-link mechanism while still
 declaring real metadata.
 
-``numpy`` is a hard install requirement since the vectorized sweep kernel
-(:mod:`repro.geometry.kernel`) evaluates interval extensions over chunks of
-boxes as numpy array programs.  Environments that cannot satisfy it still
-import fine -- the kernel module guards its import and the sweep falls back
-to the scalar loop -- but a source install should pull numpy in.
+Runtime requirements:
+
+* ``numpy`` -- the vectorized sweep kernel (:mod:`repro.geometry.kernel`)
+  evaluates interval extensions over chunks of boxes as numpy array
+  programs.  Environments that cannot satisfy it still import fine -- the
+  kernel module guards its import and the sweep falls back to the scalar
+  loop -- but a source install should pull numpy in.
+* ``scipy`` -- the distribution registry
+  (:mod:`repro.distributions.registry`, loaded by every command) imports
+  ``scipy.special.ndtri`` at module top, and the polytope volume of affine
+  guards (:mod:`repro.geometry.polytope`) calls ``scipy.optimize`` and
+  ``scipy.spatial``.
 """
 
 from setuptools import find_packages, setup
@@ -27,10 +34,10 @@ setup(
     python_requires=">=3.8",
     install_requires=[
         "numpy",
+        "scipy",
     ],
     extras_require={
         "dev": [
-            "scipy",
             "hypothesis",
             "pytest",
             "pytest-benchmark",

@@ -7,14 +7,11 @@ this subsystem makes that batch a first-class object:
   content-hash keys and JSON-safe payloads,
 * :mod:`repro.batch.runner` -- the scheduler (``--jobs N`` worker processes,
   per-job failure tolerance, submission-order JSONL output),
-* :mod:`repro.batch.cache`  -- the versioned, checksummed on-disk store of
-  finished job results and measure-engine entries shared across processes
-  and sessions (damaged files are quarantined, multi-shard merges are
-  journalled),
-* :mod:`repro.batch.store_sqlite` -- the same store protocol over one WAL
-  SQLite database (concurrent readers, transactional merges, indexed GC);
-  :func:`~repro.batch.store_sqlite.open_store` picks the backend and
-  :func:`~repro.batch.store_sqlite.migrate_store` converts a directory,
+* :mod:`repro.batch.store_sqlite` -- the persistent store of finished job
+  results, measure/sweep entries and exploration frontiers shared across
+  processes and sessions: one WAL SQLite database of checksummed envelopes
+  (concurrent readers, transactional merges, indexed GC, damaged rows
+  quarantined), opened by :func:`~repro.batch.store_sqlite.open_store`,
 * :mod:`repro.batch.distribute` -- distributed anytime deepening: a
   store-persisted exploration frontier is split into per-subtree shards and
   extended by a work-stealing fleet of ``explore-shard`` jobs, with
@@ -31,7 +28,6 @@ The CLI surface is ``python -m repro batch`` (see :mod:`repro.cli`);
 ``table1``/``table2``/``report`` delegate to the same runner.
 """
 
-from repro.batch.cache import BatchCache, verify_document
 from repro.batch.distribute import (
     DistributedScheduleReport,
     frontier_key,
@@ -40,12 +36,7 @@ from repro.batch.distribute import (
 from repro.batch.doctor import DoctorReport, Finding, diagnose
 from repro.batch.faults import Fault, FaultPlan
 from repro.batch.jobs import ANALYSES, JobResult, JobSpec, run_job
-from repro.batch.store_sqlite import (
-    MigrationReport,
-    SqliteStore,
-    migrate_store,
-    open_store,
-)
+from repro.batch.store_sqlite import SqliteStore, open_store
 from repro.batch.runner import (
     BatchReport,
     ResultScan,
@@ -66,7 +57,6 @@ from repro.batch.suites import (
 
 __all__ = [
     "ANALYSES",
-    "BatchCache",
     "BatchReport",
     "DistributedScheduleReport",
     "DoctorReport",
@@ -75,7 +65,6 @@ __all__ = [
     "Finding",
     "JobResult",
     "JobSpec",
-    "MigrationReport",
     "ResultScan",
     "RetryPolicy",
     "SUITE_NAMES",
@@ -84,7 +73,6 @@ __all__ = [
     "diagnose",
     "frontier_key",
     "load_job_file",
-    "migrate_store",
     "open_store",
     "read_result_keys",
     "run_batch",
@@ -94,6 +82,5 @@ __all__ = [
     "suite",
     "table1_suite",
     "table2_suite",
-    "verify_document",
     "write_results_jsonl",
 ]

@@ -16,12 +16,11 @@ keeping the paper's anytime semantics *bit-identical* to a single process:
   :func:`repro.batch.runner.run_batch` pool -- inheriting its job timeouts,
   bounded retries and pool resurrection.
 * Each worker claims shards under non-blocking ``fcntl`` locks in
-  ``<store>/frontier-claims/`` (a dead claimant's lock releases itself, the
-  same liveness probe the merge-intent journal uses), *preferring its
-  assigned shard but stealing any unclaimed one* when idle, extends the
-  shard to the target depth, and merges the result back to the store
-  (``...:out``).  Shard outputs are deterministic, so a double execution
-  under a lost lock merges the identical entry -- harmless.
+  ``<store>/frontier-claims/`` (a dead claimant's lock releases itself),
+  *preferring its assigned shard but stealing any unclaimed one* when
+  idle, extends the shard to the target depth, and merges the result back
+  to the store (``...:out``).  Shard outputs are deterministic, so a double
+  execution under a lost lock merges the identical entry -- harmless.
 * The supervisor absorbs the shard results back into the master session
   (:meth:`~repro.symbolic.execute.ExplorationSession.absorb`) and replays
   the merged node list through the ordinary
@@ -204,7 +203,7 @@ def execute_shards(
     strategy = program.strategy
     if params["strategy"] is not None:
         strategy = Strategy[params["strategy"]]
-    store = open_store(params["store_dir"], backend=params["store_backend"])
+    store = open_store(params["store_dir"])
     master = params["frontier"]
     depth = int(params["depth"])
     count = int(params["shards"])
@@ -595,7 +594,6 @@ def _deepen(
                 "max_paths": max_paths,
                 "strategy": strategy.name,
                 "store_dir": str(store.directory),
-                "store_backend": store.backend_name,
             },
             # Long shards first: slot i starts at shard i, and shards are
             # ordered by frontier position, so the hint just spreads slots.

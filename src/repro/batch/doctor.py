@@ -1,41 +1,44 @@
 """``python -m repro doctor``: explain the health of a batch cache directory.
 
 The doctor is the operator-facing half of the fault-tolerance layer: the
-store detects damage (checksums, quarantine, orphaned merge intents) at read
-time, and the doctor reports all of it *without waiting for a read* -- plus
-the slow-burn conditions no single read would notice: stale entries the GC
-should collect, sweep frontiers bumping against the persistence cap, locks
-held by live processes, a legacy store awaiting migration.
+store detects damage (checksums, quarantine) at read time, and the doctor
+reports all of it *without waiting for a read* -- plus the slow-burn
+conditions no single read would notice: stale entries the GC should
+collect, rows written under a foreign primitive-registry fingerprint, and
+sweep frontiers bumping against the persistence cap.
 
-Everything here is strictly read-only.  The doctor never quarantines,
-never replays an intent, never migrates -- it only *names* what the next
-writing run would do (or what the operator should look at), so running it
-concurrently with live batches is always safe.  That is why it reads
-envelopes through :func:`repro.batch.cache.verify_document` (pure) rather
-than through the cache's quarantining read path.
+Everything here is strictly read-only.  The doctor never quarantines -- it
+only *names* what the next reading run would do (or what the operator
+should look at), so running it concurrently with live batches is always
+safe.  That is why it verifies rows through
+:meth:`~repro.batch.store_sqlite.SqliteStore.scan_rows` (pure) rather than
+through the store's quarantining read path.
 
 Exit-code contract (the CI ``fault-smoke`` job relies on it):
 
-* ``0`` -- healthy: every envelope verifies, no quarantined files;
-* ``1`` -- at least one *error*-level finding: a damaged file, a
-  checksum mismatch, or a non-empty quarantine.
+* ``0`` -- healthy: every envelope verifies, no quarantined rows;
+* ``1`` -- at least one *error*-level finding: a damaged row, a failed page
+  integrity check, or a non-empty quarantine.
 
-Warnings (orphaned intents, stale entries, a legacy store) do not fail the
-exit code: they describe states the store repairs or tolerates on its own.
+Warnings (foreign fingerprints, unknown versions) and infos (stale
+entries) do not fail the exit code: they describe states the store
+tolerates on its own.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.batch.cache import (
-    _SHARD_KINDS,
-    BatchCache,
-    CACHE_VERSION,
-    verify_document,
+from repro.batch.store_sqlite import (
+    _ENTRY_KINDS,
+    DB_FILENAME,
+    STORE_SCHEMA_VERSION,
+    SqliteStore,
+    sqlite_store_path,
 )
 from repro.geometry import engine as _engine_module
 from repro.geometry.engine import MeasureEngine
@@ -75,7 +78,9 @@ class DoctorReport:
     findings: List[Finding] = field(default_factory=list)
     counts: Dict[str, int] = field(default_factory=dict)
 
-    def add(self, level: str, code: str, message: str, path: Optional[Path] = None) -> None:
+    def add(
+        self, level: str, code: str, message: str, path: Union[str, Path, None] = None
+    ) -> None:
         assert level in _LEVELS
         self.findings.append(
             Finding(level, code, message, str(path) if path is not None else None)
@@ -110,20 +115,15 @@ class DoctorReport:
         lines = [f"cache directory  : {self.directory}"]
         for label, key in (
             ("run counter", "run_counter"),
-            ("job results", "job_files"),
-            ("measure shards", "measures_shards"),
+            ("job results", "job_rows"),
             ("measure entries", "measures_entries"),
-            ("sweep shards", "sweeps_shards"),
             ("sweep entries", "sweeps_entries"),
-            ("frontier shards", "frontiers_shards"),
             ("frontier entries", "frontiers_entries"),
             ("stale entries", "stale_entries"),
-            ("legacy envelopes", "legacy_documents"),
             ("persisted frontiers", "frontiers"),
             ("frontier boxes", "frontier_boxes"),
             ("frontiers at cap", "frontiers_at_cap"),
-            ("merge intents", "intents"),
-            ("quarantined files", "quarantined"),
+            ("quarantined rows", "quarantined"),
             ("trace events", "trace_events"),
             ("trace open spans", "trace_open_spans"),
         ):
@@ -138,47 +138,6 @@ class DoctorReport:
         return "\n".join(lines)
 
 
-def _check_envelope(report: DoctorReport, path: Path, expect_kind: str) -> Optional[dict]:
-    """Verify one store file; record damage as an error finding."""
-    status, document = verify_document(path)
-    if status == "ok":
-        return document
-    if status == "legacy":
-        report.counts["legacy_documents"] = report.counts.get("legacy_documents", 0) + 1
-        report.add(
-            "info",
-            "legacy-envelope",
-            f"{expect_kind} file predates the checksummed envelope "
-            f"(version 1 < {CACHE_VERSION}); it will be re-sealed on next write",
-            path,
-        )
-        return document
-    if status == "unknown-version":
-        report.add(
-            "warning",
-            "unknown-version",
-            f"{expect_kind} file has an unknown format version "
-            f"(newer tool?); it reads as a miss",
-            path,
-        )
-        return None
-    report.add(
-        "error",
-        status,
-        f"{expect_kind} file is damaged ({status}); the next cache read "
-        "will quarantine it",
-        path,
-    )
-    return None
-
-
-def _shard_entries(document: Optional[dict]) -> Dict[str, list]:
-    if document is None:
-        return None  # type: ignore[return-value]
-    entries = document.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
 def diagnose(
     directory: Union[str, Path],
     stale_runs: int = 20,
@@ -186,226 +145,44 @@ def diagnose(
 ) -> DoctorReport:
     """Run every read-only health check over one cache directory.
 
-    Both store backends are discovered: a directory holding a
-    ``store.sqlite3`` is diagnosed through the database (page integrity,
-    per-row envelope verification, staleness, quarantine table); JSON
-    artifacts are diagnosed whenever any are present -- so a migrated
-    directory reports cleanly, and one migrated with ``--keep-json``
-    reports on both halves.
+    The store is diagnosed through its database: page integrity, per-row
+    envelope verification, fingerprints, staleness, persisted sweep
+    frontiers and the quarantine table.  A directory without a
+    ``store.sqlite3`` holds no store yet and is reported as empty.
     """
-    from repro.batch.store_sqlite import sqlite_store_path
-
     directory = Path(directory)
     report = DoctorReport(directory=str(directory))
     if not directory.is_dir():
         report.add("error", "missing-directory", "cache directory does not exist")
         return report
-    sqlite_path = sqlite_store_path(directory)
-    if sqlite_path.exists():
-        _diagnose_sqlite(report, directory, stale_runs)
-        json_leftovers = (
-            any(directory.glob("measures-*.json"))
-            or any(directory.glob("sweeps-*.json"))
-            or any(directory.glob("frontiers-*.json"))
-            or (directory / "jobs").is_dir()
-            or (directory / "meta.json").exists()
-        )
-        if not json_leftovers:
-            return report
-        report.add(
-            "info",
-            "dual-backend",
-            "JSON store files coexist with store.sqlite3 (a --keep-json "
-            "migration?); both are diagnosed, but only the database is read",
-        )
-    cache = BatchCache(directory)
-    engine = engine or MeasureEngine()
-    fingerprint = engine.registry_fingerprint()
-
-    # The run counter (meta.json) -- the GC clock everything is aged against.
-    run_counter = 0
-    meta_document = None
-    if cache.meta_path.exists():
-        meta_document = _check_envelope(report, cache.meta_path, "meta")
-    if meta_document is not None:
-        counter = meta_document.get("run_counter")
-        if isinstance(counter, int) and counter >= 0:
-            run_counter = counter
-        else:
-            report.add(
-                "error",
-                "bad-run-counter",
-                f"meta.json holds an invalid run counter ({counter!r})",
-                cache.meta_path,
-            )
-    report.counts["run_counter"] = run_counter
-
-    # Job result files.
-    job_files = 0
-    if cache.jobs_directory.is_dir():
-        for path in sorted(cache.jobs_directory.glob("*.json")):
-            job_files += 1
-            document = _check_envelope(report, path, "job result")
-            if document is None:
-                continue
-            record = document.get("result")
-            if not isinstance(record, dict) or record.get("key") != path.stem:
-                report.add(
-                    "error",
-                    "key-mismatch",
-                    "job result file does not match the key it is stored under",
-                    path,
-                )
-    report.counts["job_files"] = job_files
-
-    # Measure, sweep and exploration-frontier shards: envelopes,
-    # fingerprints, staleness, persisted sweep-frontier blobs.
-    stale_total = 0
-    for kind in _SHARD_KINDS:
-        shard_count = 0
-        entry_count = 0
-        foreign_shards = 0
-        for path in sorted(directory.glob(f"{kind}-*.json")):
-            shard_count += 1
-            document = _check_envelope(report, path, f"{kind} shard")
-            if document is None:
-                continue
-            entries = _shard_entries(document)
-            entry_count += len(entries)
-            if document.get("fingerprint") != fingerprint:
-                foreign_shards += 1
-            touched = document.get("touched")
-            touched = touched if isinstance(touched, dict) else {}
-            stale = sum(
-                1
-                for key in entries
-                if run_counter - touched.get(key, 0) >= stale_runs
-            )
-            stale_total += stale
-            if kind == "sweeps":
-                for entry in entries.values():
-                    if not isinstance(entry, list) or len(entry) <= _FRONTIER_INDEX:
-                        continue
-                    blob = entry[_FRONTIER_INDEX]
-                    if not isinstance(blob, list) or len(blob) <= _FRONTIER_BOXES_INDEX:
-                        continue
-                    boxes = blob[_FRONTIER_BOXES_INDEX]
-                    if not isinstance(boxes, list):
-                        continue
-                    report.counts["frontiers"] = report.counts.get("frontiers", 0) + 1
-                    report.counts["frontier_boxes"] = (
-                        report.counts.get("frontier_boxes", 0) + len(boxes)
-                    )
-                    if len(boxes) >= _FRONTIER_CAP:
-                        report.counts["frontiers_at_cap"] = (
-                            report.counts.get("frontiers_at_cap", 0) + 1
-                        )
-        report.counts[f"{kind}_shards"] = shard_count
-        report.counts[f"{kind}_entries"] = entry_count
-        if foreign_shards:
-            report.add(
-                "warning",
-                "foreign-fingerprint",
-                f"{foreign_shards} {kind} shard(s) were written under a "
-                "different primitive-registry fingerprint; their entries "
-                "read as misses here",
-            )
-    report.counts["stale_entries"] = stale_total
-    if stale_total:
-        report.add(
-            "info",
-            "stale-entries",
-            f"{stale_total} entries untouched for >= {stale_runs} runs; "
-            f"`repro batch prune --keep-runs {stale_runs}` would drop them",
-        )
-    if report.counts.get("frontiers_at_cap"):
-        report.add(
-            "info",
-            "frontier-cap",
-            f"{report.counts['frontiers_at_cap']} persisted sweep frontier(s) "
-            f"at the {_FRONTIER_CAP}-box persistence cap; deeper budgets "
-            "re-sweep those blocks from scratch",
-        )
-
-    # The legacy single-file store, if one is still awaiting migration.
-    if cache.measures_path.exists():
-        document = _check_envelope(report, cache.measures_path, "legacy measures")
-        if document is not None:
-            entries = _shard_entries(document)
-            report.add(
-                "warning",
-                "legacy-store",
-                f"pre-shard measures.json holds {len(entries)} entries; the "
-                "next writing merge migrates them into the shards",
-                cache.measures_path,
-            )
-
-    # In-flight and orphaned merge intents (lock liveness probes).
-    intents = cache.pending_intents()
-    report.counts["intents"] = len(intents)
-    for path, live in intents:
-        if live:
-            report.add(
-                "info",
-                "live-merge",
-                "a merge currently holds this intent (another process is writing)",
-                path,
-            )
-        else:
-            report.add(
-                "warning",
-                "orphaned-intent",
-                "a merge died mid-way; the next merge or prune replays this "
-                "intent automatically",
-                path,
-            )
-
-    # Quarantine: damage already caught.  Non-empty is an error by design --
-    # an operator should look at (and then delete) what was set aside.
-    quarantined = 0
-    if cache.quarantine_directory.is_dir():
-        for path in sorted(cache.quarantine_directory.iterdir()):
-            if path.name.endswith(".reason"):
-                continue
-            quarantined += 1
-            reason_path = path.with_name(path.name + ".reason")
-            reason = "unknown"
-            if reason_path.exists():
-                try:
-                    reason = reason_path.read_text().strip() or "unknown"
-                except OSError:
-                    pass
-            report.add(
-                "error",
-                "quarantined",
-                f"damaged store file was quarantined ({reason}); inspect and "
-                "delete it to clear this error",
-                path,
-            )
-    report.counts["quarantined"] = quarantined
-
-    return report
-
-
-def _diagnose_sqlite(
-    report: DoctorReport, directory: Path, stale_runs: int
-) -> None:
-    """The database half of :func:`diagnose`: read-only, never quarantines."""
-    import sqlite3
-
-    from repro.batch.store_sqlite import STORE_SCHEMA_VERSION, SqliteStore
-
-    db_path = directory / "store.sqlite3"
+    db_path = sqlite_store_path(directory)
+    if not db_path.exists():
+        report.add("info", "no-store", f"no {DB_FILENAME} here yet; nothing to check")
+        return report
     try:
         store = SqliteStore(directory)
     except sqlite3.Error as error:
         report.add(
             "error",
             "unreadable-database",
-            f"store.sqlite3 cannot be opened ({error})",
+            f"{DB_FILENAME} cannot be opened ({error})",
             db_path,
         )
-        return
+        return report
+    try:
+        _diagnose_store(report, store, db_path, stale_runs, engine or MeasureEngine())
+    finally:
+        store.close()
+    return report
+
+
+def _diagnose_store(
+    report: DoctorReport,
+    store: SqliteStore,
+    db_path: Path,
+    stale_runs: int,
+    engine: MeasureEngine,
+) -> None:
     verdict = store.integrity_check()
     if verdict is not None:
         report.add(
@@ -423,21 +200,20 @@ def _diagnose_sqlite(
             f"{STORE_SCHEMA_VERSION})",
             db_path,
         )
-    scan = store.scan_rows(stale_runs)
+    scan = store.scan_rows(stale_runs, engine.registry_fingerprint())
     report.counts["run_counter"] = scan.run_counter
-    report.counts["job_files"] = scan.job_rows
-    for kind in _SHARD_KINDS:
+    report.counts["job_rows"] = scan.job_rows
+    for kind in _ENTRY_KINDS:
         report.counts[f"{kind}_entries"] = scan.entry_rows.get(kind, 0)
+        foreign = scan.foreign_rows.get(kind, 0)
+        if foreign:
+            report.add(
+                "warning",
+                "foreign-fingerprint",
+                f"{foreign} {kind} row(s) were written under a different "
+                "primitive-registry fingerprint; they read as misses here",
+            )
     report.counts["stale_entries"] = scan.stale_entries
-    if scan.legacy_rows:
-        report.counts["legacy_documents"] = scan.legacy_rows
-        report.add(
-            "info",
-            "legacy-envelope",
-            f"{scan.legacy_rows} row(s) predate the checksummed envelope; "
-            "they will be re-sealed on next write",
-            db_path,
-        )
     if scan.unknown_version_rows:
         report.add(
             "warning",
@@ -452,7 +228,7 @@ def _diagnose_sqlite(
             status,
             f"{origin} row {key[:16]}... is damaged ({status}); the next "
             "store read will quarantine it",
-            db_path,
+            f"{origin}/{key}",
         )
     if scan.stale_entries:
         report.add(
@@ -462,6 +238,7 @@ def _diagnose_sqlite(
             f"runs; `repro batch prune --keep-runs {stale_runs}` would "
             "drop them",
         )
+    _audit_sweep_frontiers(report, scan.sweep_entries)
     quarantined = store.quarantine_rows()
     report.counts["quarantined"] = len(quarantined)
     for origin, key, reason in quarantined:
@@ -470,7 +247,36 @@ def _diagnose_sqlite(
             "quarantined",
             f"damaged {origin} row {key[:16]}... was quarantined ({reason}); "
             "inspect and clear the quarantine table to clear this error",
-            db_path,
+            f"{origin}/{key}",
+        )
+
+
+def _audit_sweep_frontiers(report: DoctorReport, sweep_entries: List) -> None:
+    """Count persisted sweep frontiers and those at the persistence cap."""
+    for entry in sweep_entries:
+        if not isinstance(entry, list) or len(entry) <= _FRONTIER_INDEX:
+            continue
+        blob = entry[_FRONTIER_INDEX]
+        if not isinstance(blob, list) or len(blob) <= _FRONTIER_BOXES_INDEX:
+            continue
+        boxes = blob[_FRONTIER_BOXES_INDEX]
+        if not isinstance(boxes, list):
+            continue
+        report.counts["frontiers"] = report.counts.get("frontiers", 0) + 1
+        report.counts["frontier_boxes"] = (
+            report.counts.get("frontier_boxes", 0) + len(boxes)
+        )
+        if len(boxes) >= _FRONTIER_CAP:
+            report.counts["frontiers_at_cap"] = (
+                report.counts.get("frontiers_at_cap", 0) + 1
+            )
+    if report.counts.get("frontiers_at_cap"):
+        report.add(
+            "info",
+            "frontier-cap",
+            f"{report.counts['frontiers_at_cap']} persisted sweep frontier(s) "
+            f"at the {_FRONTIER_CAP}-box persistence cap; deeper budgets "
+            "re-sweep those blocks from scratch",
         )
 
 

@@ -8,12 +8,13 @@ runner and the persistent store consult at well-defined hook points:
   segfault took it down mid-batch;
 * ``hang``            -- the worker running job *N* sleeps for ``seconds``
   before executing it, tripping the runner's per-job wall-clock timeout;
-* ``torn-write``      -- a store file whose name contains ``match`` is
-  truncated to half its length right after being written, simulating a
-  write that a crash (or a lying disk) tore mid-flight;
-* ``bit-flip``        -- one seeded-random bit of a store file whose name
-  contains ``match`` is inverted after the write, simulating silent media
-  corruption that only a checksum can catch.
+* ``torn-write``      -- a store row whose ``<kind>/<key>`` name contains
+  ``match`` has its envelope text truncated to half its length right after
+  the write commits, simulating a write that a crash (or a lying disk)
+  tore mid-flight;
+* ``bit-flip``        -- one seeded-random bit of a matching row's envelope
+  text is inverted after the commit, simulating silent media corruption
+  that only a checksum can catch.
 
 Every fault fires a bounded number of ``times`` (default once) and the
 accounting lives in marker files under the plan's ``state_dir``, so the
@@ -62,7 +63,8 @@ class Fault:
     """For job faults: the submission index of the job to sabotage."""
 
     match: str = ""
-    """For store faults: fire on files whose name contains this substring."""
+    """For store faults: fire on rows whose ``<kind>/<key>`` name contains
+    this substring (kinds: ``jobs``, ``measures``, ``sweeps``, ``frontiers``)."""
 
     seconds: float = 3600.0
     """For ``hang``: how long the worker sleeps before running the job."""
@@ -187,42 +189,35 @@ class FaultPlan:
                 os._exit(_KILL_EXIT_CODE)
             time.sleep(fault.seconds)
 
-    def on_store_write(self, path: Path) -> None:
-        """Called by the store right after atomically writing ``path``."""
+    def on_store_write(self, name: str, text: str) -> Optional[str]:
+        """Called by the store right after committing row ``name``.
+
+        Returns the damaged envelope text the store must write back over
+        ``text``, or ``None`` when no armed fault matches.
+        """
         for fault_id, fault in enumerate(self.faults):
             if fault.kind not in _STORE_FAULTS:
                 continue
-            if fault.match and fault.match not in path.name:
+            if fault.match and fault.match not in name:
                 continue
             if not self._claim(fault_id, fault.times):
                 continue
             if fault.kind == "torn-write":
-                _tear_file(path)
-            else:
-                _flip_bit(path, random.Random(self.seed * 1000003 + fault_id))
+                return text[: len(text) // 2]
+            return _flip_bit(text, random.Random(self.seed * 1000003 + fault_id))
+        return None
 
 
-def _tear_file(path: Path) -> None:
-    """Truncate ``path`` to half its length (a crash-torn write)."""
-    try:
-        size = path.stat().st_size
-        with open(path, "r+b") as stream:
-            stream.truncate(size // 2)
-    except OSError:
-        pass
+def _flip_bit(text: str, rng: random.Random) -> str:
+    """Invert one seeded-random bit of ``text`` (silent media corruption).
 
-
-def _flip_bit(path: Path, rng: random.Random) -> None:
-    """Invert one seeded-random bit of ``path`` (silent media corruption)."""
-    try:
-        data = bytearray(path.read_bytes())
-        if not data:
-            return
-        position = rng.randrange(len(data))
-        data[position] ^= 1 << rng.randrange(8)
-        path.write_bytes(bytes(data))
-    except OSError:
-        pass
+    Envelopes are ASCII JSON, so flipping one of the low seven bits of a
+    character keeps the text ASCII: the damage reaches the checksum, not
+    the text codec.
+    """
+    position = rng.randrange(len(text))
+    flipped = chr(ord(text[position]) ^ (1 << rng.randrange(7)))
+    return text[:position] + flipped + text[position + 1 :]
 
 
 # -- activation ----------------------------------------------------------------

@@ -42,26 +42,23 @@ Every recovery is counted (``retries``, ``timeouts``, ``worker_restarts``)
 on the :class:`BatchReport` and mirrored into its
 :class:`~repro.geometry.stats.PerfStats` for ``--stats`` / ``--stats-json``.
 
-With a persistent store (:class:`~repro.batch.cache.BatchCache` or
-:class:`~repro.batch.store_sqlite.SqliteStore` -- the runner only uses the
-shared store protocol), finished results are persisted as they complete and
-already-cached jobs are never re-run, so an unchanged batch re-runs
-near-instantly.
+With a persistent store (:class:`~repro.batch.store_sqlite.SqliteStore`),
+finished results are persisted as they complete and already-cached jobs are
+never re-run, so an unchanged batch re-runs near-instantly.
 
 Invariants (cited by ``docs/architecture.md``; the test suite enforces
 them):
 
 * **Bit-identity** -- the deterministic JSONL produced by a batch is
-  byte-identical across runs, across ``--jobs`` settings, across cold and
-  warm stores, and across both store backends: scheduling, caching and
-  fault recovery may change *when* a result is computed, never *what* it
-  is.
+  byte-identical across runs, across ``--jobs`` settings, and across cold
+  and warm stores: scheduling, caching and fault recovery may change *when*
+  a result is computed, never *what* it is.
 * **Submission order** -- results are returned in submission order no
   matter the completion order, which is what makes the previous point
   testable at the file level.
 * **Crash-safety** -- a killed run loses at most in-flight work: completed
-  results live in the supervisor and the store (atomic writes, journalled
-  or transactional merges), and the next run resumes from them.
+  results live in the supervisor and the store (transactional writes),
+  and the next run resumes from them.
 """
 
 from __future__ import annotations
@@ -163,7 +160,7 @@ class BatchReport:
     """Times the worker pool was torn down and rebuilt mid-batch."""
 
     quarantined_shards: int = 0
-    """Damaged store files quarantined while this batch ran."""
+    """Damaged store rows quarantined while this batch ran."""
 
     corrupt_result_lines: int = 0
     """Unparseable lines found in the output file's pre-run scan.
@@ -298,9 +295,8 @@ def run_batch(
 ) -> BatchReport:
     """Execute ``specs`` and return their results in submission order.
 
-    ``cache`` is any object implementing the shared store protocol
-    (:class:`~repro.batch.cache.BatchCache` or
-    :class:`~repro.batch.store_sqlite.SqliteStore`).
+    ``cache`` is the persistent store
+    (:class:`~repro.batch.store_sqlite.SqliteStore`), or ``None``.
 
     ``config`` (a :class:`repro.config.ReproConfig`) is the consolidated
     way to parameterize a batch: any of ``jobs``/``cache``/``job_timeout``/
@@ -787,7 +783,7 @@ def scan_results_jsonl(path: Union[str, Path]) -> ResultScan:
 
     ``--resume`` treats only :attr:`ResultScan.ok_keys` as done (failed jobs
     must be retried: their failure may have been environmental -- the same
-    policy as :meth:`BatchCache.store_job`), but corrupt lines are *counted*
+    policy as :meth:`SqliteStore.store_job`), but corrupt lines are *counted*
     rather than silently dropped, so a torn results file is visible to the
     operator instead of quietly re-running work.
     """

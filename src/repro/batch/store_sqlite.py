@@ -1,71 +1,58 @@
-"""The SQLite store backend: one WAL database instead of sharded JSON.
+"""The persistent store behind ``--cache-dir``: one WAL SQLite database.
 
-:class:`SqliteStore` is a drop-in replacement for
-:class:`repro.batch.cache.BatchCache` -- same methods, same envelope
-semantics, same quarantine policy -- backed by a single
+Everything a cache directory persists -- finished job results, measure and
+sweep entries of the shared :class:`~repro.geometry.engine.MeasureEngine`,
+and suspended exploration frontiers -- lives in a single
 ``<cache-dir>/store.sqlite3`` database in WAL mode:
 
 * **concurrent readers, single writer** -- WAL readers never block on the
   writer and vice versa; writes go through short ``BEGIN IMMEDIATE``
-  transactions serialized by SQLite itself (with a busy timeout), replacing
-  the JSON store's ``fcntl`` shard locks;
-* **indexed lookups** -- job results and measure/sweep entries are fetched
-  by primary key instead of read-modify-writing a whole shard document;
+  transactions serialized by SQLite itself (with a busy timeout);
+* **indexed lookups** -- job results and measure/sweep/frontier entries are
+  fetched by primary key;
 * **incremental GC** -- every entry row carries its touch stamp in an
-  indexed column, so :meth:`SqliteStore.prune` is one indexed ``DELETE``
-  instead of ``batch prune``'s full parse of every shard;
-* **no merge intents** -- a multi-entry merge is a transaction; a process
-  killed mid-merge rolls back to a consistent state, so there is nothing to
-  journal and nothing to replay (:meth:`SqliteStore.pending_intents` is
-  always empty).
+  indexed column, so :meth:`SqliteStore.prune` is one indexed ``DELETE``;
+* **crash safety** -- a multi-entry merge is one transaction: a process
+  killed mid-merge rolls back to a consistent state, with nothing to
+  journal and nothing to replay.
 
-Every row still holds the *same checksummed envelope* the JSON store writes
-to files (:func:`repro.batch.cache.seal_document`): the database's own page
-checksums do not cover application-level corruption, and keeping one
-envelope format is what lets ``repro store migrate`` carry documents over
-verbatim and lets ``repro doctor`` verify either backend with one code
-path.  A row that fails verification is moved into the ``quarantine``
-table -- visible to the doctor, never silently dropped -- and reads as a
-miss, exactly like a quarantined shard file.
+Every row holds a *checksummed envelope* (:func:`seal_document`): the
+database's own page checksums do not cover application-level corruption.
+A row that fails verification (:func:`verify_payload`) is moved into the
+``quarantine`` table -- visible to ``repro doctor``, never silently
+dropped -- and reads as a miss, so damage can only cost recomputation.
 
-Unlike the JSON store's shard documents -- where a merge under one registry
-fingerprint clobbers a shard written under another -- entry rows are keyed
-``(kind, fingerprint, key)``, so stores written under different primitive
-semantics coexist side by side.
-
-:func:`open_store` is the backend chooser shared by the CLI, the batch
-runner and the daemon: ``"auto"`` picks SQLite when ``store.sqlite3``
-exists and the JSON layout otherwise, so migrated directories keep working
-with every command unchanged.
+Entry rows are keyed ``(kind, fingerprint, key)``, where the fingerprint
+names the engine's primitive-registry semantics: stores written under
+different primitive semantics coexist side by side, each reading only its
+own rows.  A directory holding the JSON-file layout of earlier versions is
+simply ignored: caches are recomputable, so nothing is migrated.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import sqlite3
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import repro.telemetry as telemetry
-from repro.batch.cache import (
-    BatchCache,
-    PruneReport,
-    seal_document,
-    verify_document,
-    verify_payload,
-)
+from repro.batch.faults import active_plan
 from repro.batch.jobs import JobResult
 from repro.geometry.engine import MeasureEngine
+
+CACHE_VERSION = 2
+"""The checksummed-envelope format stamped into every row."""
 
 STORE_SCHEMA_VERSION = 1
 """The SQLite schema generation (``meta.store_version``)."""
 
 DB_FILENAME = "store.sqlite3"
-"""The database file inside a cache directory; its presence is what makes
-``open_store(..., backend="auto")`` pick this backend."""
+"""The database file inside a cache directory."""
 
 _BUSY_TIMEOUT_MS = 30_000
 
@@ -74,60 +61,130 @@ _ENTRY_KINDS = ("measures", "sweeps", "frontiers")
 _LOGGER = logging.getLogger("repro.batch")
 
 __all__ = [
+    "CACHE_VERSION",
     "DB_FILENAME",
-    "MigrationReport",
+    "PruneReport",
     "STORE_SCHEMA_VERSION",
     "SqliteStore",
-    "migrate_store",
     "open_store",
+    "seal_document",
     "sqlite_store_path",
+    "verify_payload",
 ]
+
+
+# -- the checksummed envelope ---------------------------------------------------
+
+
+def _canonical(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+def _document_checksum(document: dict) -> str:
+    """SHA-256 over the canonical JSON of everything except ``sha256``."""
+    payload = {key: value for key, value in document.items() if key != "sha256"}
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
+def seal_document(document: dict) -> dict:
+    """Stamp ``document`` with the current version and its payload checksum."""
+    sealed = dict(document)
+    sealed["version"] = CACHE_VERSION
+    sealed.pop("sha256", None)
+    sealed["sha256"] = _document_checksum(sealed)
+    return sealed
+
+
+def verify_payload(document) -> Tuple[str, Optional[dict]]:
+    """Verify one parsed envelope, without side effects.
+
+    Returns ``(status, document)``: ``"ok"`` (current version, checksum
+    verified), ``"unknown-version"`` (left in place: a newer tool may own
+    it), or one of the *damaged* statuses ``"not-object"``,
+    ``"missing-checksum"`` and ``"checksum-mismatch"``; the document is
+    ``None`` unless ``ok``.  Text that does not parse at all is
+    ``"corrupt-json"`` (see :func:`_parse_row`).
+    """
+    if not isinstance(document, dict):
+        return "not-object", None
+    if document.get("version") != CACHE_VERSION:
+        return "unknown-version", None
+    recorded = document.get("sha256")
+    if not isinstance(recorded, str):
+        return "missing-checksum", None
+    if recorded != _document_checksum(document):
+        return "checksum-mismatch", None
+    return "ok", document
+
+
+def _parse_row(text: str) -> Tuple[str, Optional[dict]]:
+    """Parse and verify one row's envelope text (see :func:`verify_payload`)."""
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return "corrupt-json", None
+    return verify_payload(document)
+
+
+def _is_damaged(status: str) -> bool:
+    """Damaged rows are quarantined; unknown versions are left in place."""
+    return status not in ("ok", "unknown-version")
+
+
+@dataclass
+class PruneReport:
+    """What one :meth:`SqliteStore.prune` pass removed (and kept)."""
+
+    run_counter: int
+    min_age_runs: int
+    pruned: Dict[str, int] = field(default_factory=dict)
+    kept: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def pruned_total(self) -> int:
+        return sum(self.pruned.values())
+
+    @property
+    def kept_total(self) -> int:
+        return sum(self.kept.values())
+
+    def summary(self) -> str:
+        lines = [
+            f"run counter      : {self.run_counter}",
+            f"stale after      : {self.min_age_runs} runs untouched",
+        ]
+        for kind in _ENTRY_KINDS:
+            lines.append(
+                f"{kind:<17s}: pruned {self.pruned.get(kind, 0)}, "
+                f"kept {self.kept.get(kind, 0)}"
+            )
+        return "\n".join(lines)
+
+
+# -- the store ------------------------------------------------------------------
 
 
 def sqlite_store_path(directory: Union[str, Path]) -> Path:
     return Path(directory) / DB_FILENAME
 
 
-def open_store(
-    directory: Union[str, Path], backend: str = "auto"
-) -> Union[BatchCache, "SqliteStore"]:
-    """Open the persistent store of ``directory`` under the right backend.
-
-    ``"json"`` and ``"sqlite"`` force a backend; ``"auto"`` (the default
-    everywhere) picks SQLite exactly when the database file already exists,
-    so a fresh directory keeps the JSON layout and a migrated one is served
-    from the database by every command without further flags.
-    """
-    if backend == "json":
-        return BatchCache(directory)
-    if backend == "sqlite":
-        return SqliteStore(directory)
-    if backend == "auto":
-        if sqlite_store_path(directory).exists():
-            return SqliteStore(directory)
-        return BatchCache(directory)
-    raise ValueError(
-        f"unknown store backend {backend!r}; expected 'auto', 'json' or 'sqlite'"
-    )
+def open_store(directory: Union[str, Path]) -> "SqliteStore":
+    """Open (creating if needed) the persistent store of ``directory``."""
+    return SqliteStore(directory)
 
 
 class SqliteStore:
-    """A persistent job/measure/sweep store in one WAL SQLite database.
-
-    Method-compatible with :class:`repro.batch.cache.BatchCache`; see the
-    module docstring for what changes underneath.
-    """
+    """A persistent job/measure/sweep/frontier store in one WAL database."""
 
     backend_name = "sqlite"
-    """How ``open_store(..., backend=...)`` names this layout (workers of a
-    distributed deepening reopen the supervisor's store by this name)."""
+    """The store's layout name (reported by benchmarks and the daemon)."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = sqlite_store_path(self.directory)
         self.quarantined: List[Tuple[str, str]] = []
-        """``(origin key, reason)`` for every row this instance quarantined."""
+        """``(origin/key, reason)`` for every row this instance quarantined."""
 
         # One connection per store instance.  The daemon touches the store
         # from its single engine thread, the batch runner from the
@@ -200,8 +257,7 @@ class SqliteStore:
         self, origin: str, key: str, document_text: str, reason: str
     ) -> None:
         """Move a damaged row into the quarantine table -- never delete
-        silently, never fail the read.  Mirrors the JSON store's policy of
-        quarantining damaged files with a ``.reason`` sidecar."""
+        silently, never fail the read."""
         try:
             with self._transaction() as connection:
                 connection.execute(
@@ -225,21 +281,12 @@ class SqliteStore:
     def _verify_row(self, origin: str, key: str, text: str) -> Optional[dict]:
         """Parse and verify one row's envelope; damaged rows are quarantined.
 
-        Unknown (future) versions read as misses but stay in place, exactly
-        like the file backend's policy.
+        Unknown (future) versions read as misses but stay in place.
         """
-        try:
-            document = json.loads(text)
-        except ValueError:
-            self._quarantine_row(origin, key, text, "corrupt-json")
-            return None
-        status, verified = verify_payload(document)
-        if status in ("ok", "legacy"):
-            return verified
-        if status == "unknown-version":
-            return None
-        self._quarantine_row(origin, key, text, status)
-        return None
+        status, document = _parse_row(text)
+        if _is_damaged(status):
+            self._quarantine_row(origin, key, text, status)
+        return document
 
     def quarantine_rows(self) -> List[Tuple[str, str, str]]:
         """Every quarantined row: ``(origin, key, reason)`` (doctor feed)."""
@@ -253,6 +300,33 @@ class SqliteStore:
         with self._transaction() as connection:
             cursor = connection.execute("DELETE FROM quarantine")
             return cursor.rowcount
+
+    def _inject_faults(
+        self, origin: str, fingerprint: Optional[str], rows: Sequence[Tuple[str, str]]
+    ) -> None:
+        """Fault injection: tear or bit-flip freshly committed rows.
+
+        A no-op unless a :class:`~repro.batch.faults.FaultPlan` is armed;
+        ``rows`` are the ``(key, envelope text)`` pairs just committed.
+        """
+        plan = active_plan()
+        if plan is None:
+            return
+        for key, text in rows:
+            damaged = plan.on_store_write(f"{origin}/{key}", text)
+            if damaged is None:
+                continue
+            with self._transaction() as connection:
+                if origin == "jobs":
+                    connection.execute(
+                        "UPDATE jobs SET document = ? WHERE key = ?", (damaged, key)
+                    )
+                else:
+                    connection.execute(
+                        "UPDATE entries SET document = ?"
+                        " WHERE kind = ? AND fingerprint = ? AND key = ?",
+                        (damaged, origin, fingerprint, key),
+                    )
 
     # -- job results -----------------------------------------------------------
 
@@ -276,7 +350,8 @@ class SqliteStore:
         return result
 
     def store_job(self, result: JobResult) -> None:
-        """Persist a finished job (error results are recomputed, not cached)."""
+        """Persist a finished job.  Error results are not cached: they are
+        recomputed on the next run in case the failure was environmental."""
         if not result.ok:
             return
         document = _canonical(seal_document({"result": result.to_cache_dict()}))
@@ -285,6 +360,7 @@ class SqliteStore:
                 "INSERT OR REPLACE INTO jobs (key, document) VALUES (?, ?)",
                 (result.key, document),
             )
+        self._inject_faults("jobs", None, [(result.key, document)])
 
     def job_count(self) -> int:
         return self._connection.execute("SELECT COUNT(*) FROM jobs").fetchone()[0]
@@ -305,8 +381,12 @@ class SqliteStore:
         return counter if counter >= 0 else 0
 
     def begin_run(self) -> int:
-        """Bump and return the run counter (the GC clock, as in the JSON
-        store) -- atomically, under the write transaction."""
+        """Bump and return the run counter, atomically.
+
+        The counter is the GC clock: entries written or hit during run ``N``
+        are stamped ``N`` and survive a later ``prune(min_age_runs=K)`` as
+        long as the counter has not advanced past ``N + K - 1``.
+        """
         with self._transaction() as connection:
             counter = self.run_counter() + 1
             connection.execute(
@@ -315,42 +395,28 @@ class SqliteStore:
             )
             return counter
 
-    # -- measure- and sweep-engine entries -------------------------------------
+    # -- measure-, sweep- and frontier entries ---------------------------------
 
     def _load_kind(self, kind: str, fingerprint: str) -> Dict[str, List]:
         entries: Dict[str, List] = {}
-        damaged: List[Tuple[str, str]] = []
+        damaged: List[Tuple[str, str, str]] = []
         cursor = self._connection.execute(
             "SELECT key, document FROM entries WHERE kind = ? AND fingerprint = ?",
             (kind, fingerprint),
         )
         for key, text in cursor.fetchall():
-            document = self._verify_row_deferred(kind, key, text, damaged)
+            status, document = _parse_row(text)
+            if _is_damaged(status):
+                damaged.append((key, text, status))
             if document is None:
                 continue
             entry = document.get("entry")
             if isinstance(entry, list):
                 entries[key] = entry
-        for key, text in damaged:
+        for key, text, status in damaged:
             # Quarantined after the read loop: mutating mid-cursor is unsafe.
-            self._verify_row(kind, key, text)
+            self._quarantine_row(kind, key, text, status)
         return entries
-
-    def _verify_row_deferred(
-        self, origin: str, key: str, text: str, damaged: List[Tuple[str, str]]
-    ) -> Optional[dict]:
-        try:
-            document = json.loads(text)
-        except ValueError:
-            damaged.append((key, text))
-            return None
-        status, verified = verify_payload(document)
-        if status in ("ok", "legacy"):
-            return verified
-        if status == "unknown-version":
-            return None
-        damaged.append((key, text))
-        return None
 
     def load_measures(self, engine: MeasureEngine) -> Dict[str, List]:
         """The stored measure entries compatible with ``engine``."""
@@ -361,7 +427,13 @@ class SqliteStore:
         return self._load_kind("sweeps", engine.registry_fingerprint())
 
     def load_frontiers(self, engine: MeasureEngine) -> Dict[str, List]:
-        """The stored exploration-frontier entries compatible with ``engine``."""
+        """The stored exploration-frontier entries compatible with ``engine``.
+
+        Values are the encoded frontier documents written by the anytime
+        scheduler (see :mod:`repro.batch.distribute`); they are keyed under
+        the engine's primitive-registry fingerprint, since the symbolic
+        steps a frontier froze depend on primitive semantics.
+        """
         return self._load_kind("frontiers", engine.registry_fingerprint())
 
     def measure_entry_count(self, engine: MeasureEngine) -> int:
@@ -373,8 +445,7 @@ class SqliteStore:
     def load_frontier_entry(self, engine: MeasureEngine, key: str):
         """One frontier entry by key (one indexed row read, not a kind scan).
 
-        Same contract as :meth:`BatchCache.load_frontier_entry`: the
-        work-stealing scan polls shard keys far too often to parse every
+        The work-stealing scan polls shard keys far too often to parse every
         frontier entry -- master encodings included -- per poll.
         """
         fingerprint = engine.registry_fingerprint()
@@ -407,7 +478,13 @@ class SqliteStore:
         run: Optional[int] = None,
         touched_keys: Iterable[str] = (),
     ) -> int:
-        """Fold ``new_entries`` into the measure store (one transaction)."""
+        """Fold ``new_entries`` into the measure store (one transaction).
+
+        ``run`` (default: the current run counter) stamps the written
+        entries for the GC; ``touched_keys`` are existing entries this run
+        answered from the store, whose stamps are refreshed in place.
+        Returns the number of entries written.
+        """
         return self._merge_kind("measures", engine, new_entries, run, touched_keys)
 
     def merge_sweeps(
@@ -449,29 +526,25 @@ class SqliteStore:
         fingerprint = engine.registry_fingerprint()
         if run is None:
             run = self.run_counter()
+        rows = [
+            (key, _canonical(seal_document({"entry": list(entry)})))
+            for key, entry in sorted(new_entries.items())
+        ]
         with self._transaction() as connection:
             connection.executemany(
                 "INSERT OR REPLACE INTO entries"
                 " (kind, fingerprint, key, document, touched)"
                 " VALUES (?, ?, ?, ?, ?)",
-                (
-                    (
-                        kind,
-                        fingerprint,
-                        key,
-                        _canonical(seal_document({"entry": list(entry)})),
-                        run,
-                    )
-                    for key, entry in sorted(new_entries.items())
-                ),
+                ((kind, fingerprint, key, text, run) for key, text in rows),
             )
             # Refresh the GC stamps of entries this run answered from the
-            # store -- the "touch" half of the JSON store's merge.
+            # store.
             connection.executemany(
                 "UPDATE entries SET touched = ?"
                 " WHERE kind = ? AND fingerprint = ? AND key = ?",
                 ((run, kind, fingerprint, key) for key in sorted(touched_keys)),
             )
+        self._inject_faults(kind, fingerprint, rows)
         telemetry.emit(
             "store-merge",
             kind=kind,
@@ -480,62 +553,17 @@ class SqliteStore:
         )
         return len(new_entries)
 
-    def import_entries(
-        self,
-        kind: str,
-        fingerprint: str,
-        entries: Mapping[str, List],
-        touched: Mapping[str, int],
-    ) -> int:
-        """Bulk-load migrated entries, preserving their original touch
-        stamps (entries a migration resets to "fresh" would dodge the GC
-        for another full aging cycle)."""
-        if kind not in _ENTRY_KINDS:
-            raise ValueError(f"unknown entry kind {kind!r}")
-        with self._transaction() as connection:
-            connection.executemany(
-                "INSERT OR REPLACE INTO entries"
-                " (kind, fingerprint, key, document, touched)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (
-                    (
-                        kind,
-                        fingerprint,
-                        key,
-                        _canonical(seal_document({"entry": list(entry)})),
-                        int(touched.get(key, 0)),
-                    )
-                    for key, entry in sorted(entries.items())
-                ),
-            )
-        return len(entries)
-
-    def import_job_document(self, key: str, document: dict) -> None:
-        """Carry one verified job envelope over from the JSON store."""
-        with self._transaction() as connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO jobs (key, document) VALUES (?, ?)",
-                (key, _canonical(seal_document(dict(document)))),
-            )
-
-    def set_run_counter(self, counter: int) -> None:
-        with self._transaction() as connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
-                ("run_counter", str(max(0, int(counter)))),
-            )
-
     # -- garbage collection ----------------------------------------------------
 
     def prune(self, min_age_runs: int) -> PruneReport:
-        """Drop entries untouched for ``min_age_runs`` runs -- incrementally.
+        """Drop entries untouched for ``min_age_runs`` runs.
 
-        One indexed range ``DELETE`` per kind over ``(kind, touched)``: the
-        database never parses an entry document to age it, unlike the JSON
-        backend's full scan of every shard.  Same aging semantics and the
-        same :class:`~repro.batch.cache.PruneReport` shape as
-        :meth:`BatchCache.prune` (``removed_files`` is always 0: there are
-        no shard files to unlink).
+        An entry is stale when the run counter has advanced by at least
+        ``min_age_runs`` since the entry was last written or last served as
+        a persistent hit: one indexed range ``DELETE`` per kind over
+        ``(kind, touched)``, never parsing an entry document.  Job results
+        are content-addressed by program text and parameters and are not
+        aged here.
         """
         if min_age_runs < 1:
             raise ValueError("min_age_runs must be at least 1")
@@ -553,12 +581,6 @@ class SqliteStore:
                     "SELECT COUNT(*) FROM entries WHERE kind = ?", (kind,)
                 ).fetchone()[0]
         return report
-
-    # -- parity shims ----------------------------------------------------------
-
-    def pending_intents(self) -> List[Tuple[Path, bool]]:
-        """Always empty: merges are transactions, there is nothing to replay."""
-        return []
 
     # -- doctor feed -----------------------------------------------------------
 
@@ -582,41 +604,32 @@ class SqliteStore:
         except (TypeError, ValueError):
             return None
 
-    def scan_rows(self, stale_runs: int) -> "SqliteScan":
+    def scan_rows(self, stale_runs: int, fingerprint: str) -> "SqliteScan":
         """Read-only full verification pass for ``repro doctor``.
 
-        Unlike the cache's own reads this never quarantines -- the doctor
-        only *names* damage -- mirroring how the file backend's doctor reads
-        through :func:`verify_document` instead of the quarantining path.
+        Unlike the store's own reads this never quarantines -- the doctor
+        only *names* damage.  ``fingerprint`` is the registry fingerprint
+        of the reading engine: rows under any other fingerprint are counted
+        as foreign (they read as misses here).
         """
         scan = SqliteScan(run_counter=self.run_counter())
         for key, text in self._connection.execute("SELECT key, document FROM jobs"):
             scan.job_rows += 1
-            status = _row_status(text)
-            if status == "ok":
-                continue
-            if status == "legacy":
-                scan.legacy_rows += 1
-            elif status == "unknown-version":
-                scan.unknown_version_rows += 1
-            else:
-                scan.damaged.append(("jobs", key, status))
+            status, _document = _parse_row(text)
+            scan.note(status, "jobs", key)
         cursor = self._connection.execute(
-            "SELECT kind, key, document, touched FROM entries"
+            "SELECT kind, fingerprint, key, document, touched FROM entries"
         )
-        for kind, key, text, touched in cursor:
+        for kind, row_fingerprint, key, text, touched in cursor:
             scan.entry_rows[kind] = scan.entry_rows.get(kind, 0) + 1
+            if row_fingerprint != fingerprint:
+                scan.foreign_rows[kind] = scan.foreign_rows.get(kind, 0) + 1
             if scan.run_counter - int(touched) >= stale_runs:
                 scan.stale_entries += 1
-            status = _row_status(text)
-            if status == "ok":
-                continue
-            if status == "legacy":
-                scan.legacy_rows += 1
-            elif status == "unknown-version":
-                scan.unknown_version_rows += 1
-            else:
-                scan.damaged.append((kind, key, status))
+            status, document = _parse_row(text)
+            scan.note(status, kind, key)
+            if kind == "sweeps" and document is not None:
+                scan.sweep_entries.append(document.get("entry"))
         return scan
 
 
@@ -627,24 +640,19 @@ class SqliteScan:
     run_counter: int
     job_rows: int = 0
     entry_rows: Dict[str, int] = field(default_factory=dict)
+    foreign_rows: Dict[str, int] = field(default_factory=dict)
     stale_entries: int = 0
-    legacy_rows: int = 0
     unknown_version_rows: int = 0
     damaged: List[Tuple[str, str, str]] = field(default_factory=list)
     """``(origin, key, status)`` for rows failing envelope verification."""
+    sweep_entries: List = field(default_factory=list)
+    """The verified sweep entries (for the persisted-frontier audit)."""
 
-
-def _row_status(text: str) -> str:
-    try:
-        document = json.loads(text)
-    except ValueError:
-        return "corrupt-json"
-    status, _document = verify_payload(document)
-    return status
-
-
-def _canonical(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    def note(self, status: str, origin: str, key: str) -> None:
+        if status == "unknown-version":
+            self.unknown_version_rows += 1
+        elif _is_damaged(status):
+            self.damaged.append((origin, key, status))
 
 
 class _Transaction:
@@ -677,107 +685,3 @@ class _Transaction:
                 self._connection.rollback()
         finally:
             self._lock.release()
-
-
-# ---------------------------------------------------------------------------
-# Migration: JSON shards -> SQLite, one shot.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MigrationReport:
-    """What ``repro store migrate`` carried over (and what it removed)."""
-
-    directory: str
-    jobs: int = 0
-    entries: Dict[str, int] = field(default_factory=dict)
-    run_counter: int = 0
-    skipped_jobs: int = 0
-    removed_files: int = 0
-    kept_json: bool = False
-
-    def summary(self) -> str:
-        lines = [
-            f"cache directory  : {self.directory}",
-            f"backend          : sqlite ({DB_FILENAME})",
-            f"job results      : {self.jobs} migrated"
-            + (f", {self.skipped_jobs} skipped (damaged)" if self.skipped_jobs else ""),
-        ]
-        for kind in _ENTRY_KINDS:
-            lines.append(f"{kind:<17s}: {self.entries.get(kind, 0)} entries migrated")
-        lines.append(f"run counter      : {self.run_counter}")
-        if self.kept_json:
-            lines.append("json files       : kept (--keep-json); 'auto' now picks sqlite")
-        else:
-            lines.append(f"json files       : {self.removed_files} removed")
-        return "\n".join(lines)
-
-
-def migrate_store(
-    directory: Union[str, Path], keep_json: bool = False
-) -> MigrationReport:
-    """Import a JSON-shard cache directory into the SQLite backend.
-
-    Checksummed envelopes are carried over (legacy version-1 documents are
-    re-sealed, exactly as a shard write would), GC touch stamps and the run
-    counter survive, and every registry fingerprint's entries are kept.
-    Orphaned merge intents are replayed first, so entries a crashed run was
-    still carrying are migrated too.  Unless ``keep_json`` is set, the JSON
-    layout (shards, job files, meta, locks) is removed afterwards, leaving a
-    SQLite-only directory that ``open_store`` auto-detects; either way the
-    migration is idempotent -- re-running it re-imports whatever JSON files
-    remain and changes nothing else.
-    """
-    directory = Path(directory)
-    source = BatchCache(directory)
-    with source._directory_lock(exclusive=True):
-        source._replay_orphaned_intents()
-    target = SqliteStore(directory)
-    report = MigrationReport(directory=str(directory))
-
-    for kind in _ENTRY_KINDS:
-        migrated = 0
-        for fingerprint, entries, touched in source.export_entry_documents(kind):
-            migrated += target.import_entries(kind, fingerprint, entries, touched)
-        report.entries[kind] = migrated
-
-    if source.jobs_directory.is_dir():
-        for path in sorted(source.jobs_directory.glob("*.json")):
-            status, document = verify_document(path)
-            if status not in ("ok", "legacy") or not isinstance(
-                document.get("result"), dict
-            ):
-                report.skipped_jobs += 1
-                continue
-            target.import_job_document(path.stem, {"result": document["result"]})
-            report.jobs += 1
-
-    report.run_counter = max(target.run_counter(), source.run_counter())
-    target.set_run_counter(report.run_counter)
-
-    if not keep_json:
-        removed = 0
-        patterns = ["measures-*.json", "sweeps-*.json", "frontiers-*.json",
-                    "measures-*.lock", "sweeps-*.lock", "frontiers-*.lock",
-                    "intent-*.json"]
-        for pattern in patterns:
-            for path in sorted(directory.glob(pattern)):
-                path.unlink(missing_ok=True)
-                removed += 1
-        for path in (source.measures_path, source.meta_path,
-                     directory / "measures.lock", directory / "meta.lock"):
-            if path.exists():
-                path.unlink(missing_ok=True)
-                removed += 1
-        if source.jobs_directory.is_dir():
-            for path in sorted(source.jobs_directory.glob("*.json")):
-                path.unlink(missing_ok=True)
-                removed += 1
-            try:
-                source.jobs_directory.rmdir()
-            except OSError:
-                pass
-        report.removed_files = removed
-    else:
-        report.kept_json = True
-    return report

@@ -7,7 +7,7 @@ A *suite* is the batch rendering of one evaluation section:
 * ``classify`` -- combined AST/PAST classification of the Table 2 programs,
 * ``sweep``   -- lower bounds for the non-affine retry loops, the
   sweep-heavy workload exercising the block-decomposed subdivision sweep
-  and its persistent ``sweeps-<prefix>.json`` store,
+  and its persistent sweep store,
 * ``all``     -- table1, table2 and classify, concatenated.
 
 The lower-bound suites (``table1``, ``sweep``) also come in an *anytime*

@@ -50,7 +50,7 @@ an unchanged batch is near-instant and bit-identical.
 Worker pools are supervised: ``--job-timeout`` bounds each job's wall
 clock, transient failures (a dead worker, a timeout) are retried with
 exponential backoff (``--max-retries`` / ``--retry-backoff``), and the
-persistent store checksums every file, quarantining damage instead of
+persistent store checksums every row, quarantining damage instead of
 silently missing.  ``python -m repro doctor --cache-dir ...`` reports store
 health and exits non-zero on damage.
 
@@ -352,7 +352,7 @@ def _command_estimate(arguments: argparse.Namespace) -> int:
 
 
 def _batch_cache(arguments: argparse.Namespace):
-    """The persistent store ``--cache-dir``/``--store`` select (or ``None``)."""
+    """The persistent store at ``--cache-dir`` (or ``None``)."""
     return _config(arguments).open_store()
 
 
@@ -604,26 +604,6 @@ def _command_batch_prune(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_store_migrate(arguments: argparse.Namespace) -> int:
-    """``python -m repro store migrate --cache-dir DIR [--keep-json]``."""
-    from repro.batch.store_sqlite import migrate_store
-
-    if not arguments.cache_dir:
-        print("store migrate: --cache-dir is required", file=sys.stderr)
-        return 2
-    if not os.path.isdir(arguments.cache_dir):
-        print(
-            f"store migrate: {arguments.cache_dir} is not a directory",
-            file=sys.stderr,
-        )
-        return 2
-    report = migrate_store(arguments.cache_dir, keep_json=arguments.keep_json)
-    print("migrated the persistent store to SQLite:")
-    for line in report.summary().splitlines():
-        print(f"  {line}")
-    return 0
-
-
 def _command_serve(arguments: argparse.Namespace) -> int:
     """``python -m repro serve --socket PATH``: run the analysis daemon."""
     import asyncio
@@ -633,7 +613,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     config = _config(arguments)
     print(f"serving on {arguments.socket}", file=sys.stderr)
     if config.cache_dir:
-        print(f"store        : {config.cache_dir} ({config.store_backend})", file=sys.stderr)
+        print(f"store        : {config.cache_dir}", file=sys.stderr)
     try:
         asyncio.run(serve(arguments.socket, config=config))
     except KeyboardInterrupt:
@@ -854,7 +834,6 @@ def _add_batch_flags(subparser: argparse.ArgumentParser) -> None:
         default=None,
         help="persist job results and measure entries here, across runs",
     )
-    _add_store_flag(subparser)
 
 
 def _add_explore_flags(subparser: argparse.ArgumentParser) -> None:
@@ -868,18 +847,6 @@ def _add_explore_flags(subparser: argparse.ArgumentParser) -> None:
         "exploration frontier across N supervised worker processes with "
         "work stealing (requires --cache-dir; per-depth bounds and "
         "counters stay byte-identical to a single-process run)",
-    )
-
-
-def _add_store_flag(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--store",
-        choices=("auto", "json", "sqlite"),
-        default="auto",
-        help="store backend for --cache-dir: 'auto' uses SQLite iff the "
-        "directory already holds a store.sqlite3 (i.e. was migrated), "
-        "'json' forces sharded JSON, 'sqlite' forces the database "
-        "(default: auto)",
     )
 
 
@@ -1032,7 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of re-exploring, surviving crashes and process "
         "boundaries",
     )
-    _add_store_flag(lower)
     _add_fault_flags(lower)
     _add_explore_flags(lower)
     _add_measure_flags(lower)
@@ -1110,7 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist job results and measure entries here, across runs",
     )
-    _add_store_flag(batch)
     batch.add_argument(
         "--output",
         default=None,
@@ -1168,7 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on live named sessions; creating one past the cap "
         "evicts the least recently used (default: unbounded)",
     )
-    _add_store_flag(serve)
     _add_measure_flags(serve)
     serve.set_defaults(handler=_command_serve)
 
@@ -1208,27 +1172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="socket timeout for the response (default: 300)",
     )
     call.set_defaults(handler=_command_call)
-
-    store = subparsers.add_parser(
-        "store",
-        help="persistent-store administration (see also 'batch prune' and 'doctor')",
-    )
-    store_commands = store.add_subparsers(dest="store_command", required=True)
-    migrate = store_commands.add_parser(
-        "migrate",
-        help="convert a sharded-JSON cache directory to the SQLite backend "
-        "(checksummed envelopes and GC stamps preserved; idempotent)",
-    )
-    migrate.add_argument(
-        "--cache-dir", required=True, help="the cache directory to migrate"
-    )
-    migrate.add_argument(
-        "--keep-json",
-        action="store_true",
-        help="leave the JSON shards in place next to the database "
-        "(default: remove them after a successful import)",
-    )
-    migrate.set_defaults(handler=_command_store_migrate)
 
     doctor = subparsers.add_parser(
         "doctor",

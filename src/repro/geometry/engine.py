@@ -33,7 +33,7 @@ the refutation measures one pattern per sample argument.  A
   the CLI's ``--no-block-sweep`` restores the joint sweep).  Per-block
   :class:`~repro.geometry.sweep.SweepResult`\\ s are memoized under the
   position-independent canonical block key *plus the sweep budget* and
-  persisted through the batch cache's ``sweeps-<prefix>.json`` shards, so a
+  persisted as ``sweeps`` rows of the batch store, so a
   fleet sweeps each distinct block once, not once per process,
 * results are memoized keyed by ``(canonical set, dimension, options,
   argument)`` -- block keys and full-set product keys live in the same memo
@@ -106,9 +106,9 @@ _Block = Tuple[ConstraintSet, int]
 """A renumbered canonical block and its dimension (= its variable count)."""
 
 _MAX_PERSISTED_FRONTIER_BOXES = 2048
-"""Frontiers larger than this are memoized but not persisted: the shard files
-must stay small enough that a merge's read-modify-write cycle is cheap, and a
-frontier that large means the block is near-degenerate anyway."""
+"""Frontiers larger than this are memoized but not persisted: store rows
+must stay small enough that loading the sweep kind is cheap, and a frontier
+that large means the block is near-degenerate anyway."""
 
 
 def _encode_number(value) -> Optional[List]:
@@ -169,8 +169,8 @@ class MeasureEngine:
         # indices can be validated and materialized only when actually used.
         self._sweep_frontier_blobs: Dict[str, list] = {}
         # Persistent-store keys answered from an import since the last drain
-        # (tracked per store kind); the batch cache uses them to refresh GC
-        # touch stamps without probing the other kind's shards.
+        # (tracked per store kind); the batch store uses them to refresh GC
+        # touch stamps of exactly those rows.
         self._persistent_keys_used: set = set()
         self._sweep_keys_used: set = set()
         # Derived structure, memoized per canonical constraint tuple so hot
@@ -945,10 +945,10 @@ class MeasureEngine:
         """The ``(measure, sweep)`` keys answered from an import since the
         last drain.
 
-        The batch cache refreshes the GC touch stamp of these entries when a
+        The batch store refreshes the GC touch stamp of these entries when a
         run merges, so entries a fleet still *reads* (but never rewrites)
         do not age out of the store.  The two kinds are kept apart so each
-        merge only visits (and locks) its own shards.
+        merge only touches its own kind's rows.
         """
         measures, sweeps = self._persistent_keys_used, self._sweep_keys_used
         self._persistent_keys_used = set()

@@ -187,9 +187,9 @@ class PerfStats:
     """Worker-pool resurrections after a worker death or a hung job."""
 
     quarantined_shards: int = _counter("quarantined files")
-    """Damaged store files moved to ``<cache-dir>/quarantine/``.
+    """Damaged store rows moved to the store's ``quarantine`` table.
 
-    Counts every file the persistent store refused to read -- torn JSON,
+    Counts every row the persistent store refused to read -- torn JSON,
     checksum mismatches -- and set aside for inspection instead of silently
     treating as a cache miss.
     """

@@ -10,7 +10,7 @@ for orientation only.
 
 For the default program sets the analyses run as a batch through
 :func:`repro.batch.run_batch`, so reports can fan out across cores
-(``jobs``) and reuse a persistent :class:`~repro.batch.BatchCache`; the
+(``jobs``) and reuse a persistent :class:`~repro.batch.SqliteStore`; the
 tables themselves are rendered from the deterministic
 :class:`~repro.batch.JobResult` payloads by the ``*_rows_from_results``
 functions.  Custom program mappings (whose terms may not resolve through the
@@ -24,9 +24,9 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.astcheck import verify_ast
-from repro.batch.cache import BatchCache
 from repro.batch.jobs import JobResult, decode_number
 from repro.batch.runner import run_batch
+from repro.batch.store_sqlite import SqliteStore
 from repro.batch.suites import (
     classify_suite,
     schedule_suite,
@@ -111,7 +111,7 @@ def table1_report(
     max_paths: int = 100_000,
     measure_engine: Optional[MeasureEngine] = None,
     jobs: int = 1,
-    cache: Optional[BatchCache] = None,
+    cache: Optional[SqliteStore] = None,
     stats_sink: Optional[PerfStats] = None,
 ) -> str:
     """Regenerate Table 1 (lower bounds on the probability of termination)."""
@@ -197,7 +197,7 @@ def table1_schedule_report(
     target_gap=None,
     measure_engine: Optional[MeasureEngine] = None,
     jobs: int = 1,
-    cache: Optional[BatchCache] = None,
+    cache: Optional[SqliteStore] = None,
     stats_sink: Optional[PerfStats] = None,
 ) -> str:
     """Table 1 with a depth column: one *incremental* job per program.
@@ -248,7 +248,7 @@ def table2_report(
     programs: Optional[Mapping[str, Program]] = None,
     measure_engine: Optional[MeasureEngine] = None,
     jobs: int = 1,
-    cache: Optional[BatchCache] = None,
+    cache: Optional[SqliteStore] = None,
     stats_sink: Optional[PerfStats] = None,
 ) -> str:
     """Regenerate Table 2 (automatic AST verification with ``Papprox``)."""
@@ -303,7 +303,7 @@ def classification_report(
     programs: Optional[Mapping[str, Program]] = None,
     measure_engine: Optional[MeasureEngine] = None,
     jobs: int = 1,
-    cache: Optional[BatchCache] = None,
+    cache: Optional[SqliteStore] = None,
     stats_sink: Optional[PerfStats] = None,
 ) -> str:
     """The combined AST/PAST classification of the benchmark programs.
@@ -343,7 +343,7 @@ def full_report(
     depth: int = 50,
     measure_engine: Optional[MeasureEngine] = None,
     jobs: int = 1,
-    cache: Optional[BatchCache] = None,
+    cache: Optional[SqliteStore] = None,
     stats_sink: Optional[PerfStats] = None,
     schedule: Optional[Sequence[int]] = None,
     target_gap=None,

@@ -128,24 +128,35 @@ def _decode_number(encoded):
 
 
 class _Table:
-    """Accumulates encoded term/value nodes, deduplicated by identity.
+    """Accumulates encoded term/value nodes, deduplicated by structure.
 
     Terms are immutable and (thanks to substitution) massively shared; the
-    memo keys on ``id`` and retains the object itself, so an id cannot be
-    recycled mid-encode.
+    identity memo keys on ``id`` and retains the object itself, so an id
+    cannot be recycled mid-encode.  Nodes are also deduplicated by their
+    encoding (children are already indices, so that is one shallow lookup):
+    the table is then a function of the terms' structure alone, not of how
+    the process happened to share them, and a frontier assembled from
+    decoded shards encodes to the same bytes as one stepped in-process.
     """
 
     def __init__(self) -> None:
         self.nodes: List[list] = []
         self._memo: Dict[int, Tuple[object, int]] = {}
+        self._by_encoding: Dict[tuple, int] = {}
 
     def index_of(self, obj) -> Optional[int]:
         record = self._memo.get(id(obj))
         return record[1] if record is not None else None
 
     def add(self, obj, node: list) -> int:
-        index = len(self.nodes)
-        self.nodes.append(node)
+        encoding = tuple(
+            tuple(part) if isinstance(part, list) else part for part in node
+        )
+        index = self._by_encoding.get(encoding)
+        if index is None:
+            index = len(self.nodes)
+            self.nodes.append(node)
+            self._by_encoding[encoding] = index
         self._memo[id(obj)] = (obj, index)
         return index
 

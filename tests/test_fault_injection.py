@@ -9,23 +9,27 @@ run -- or be loudly quarantined, never silently misread.
 
 import json
 import logging
+import multiprocessing
+import os
+import sqlite3
 import threading
 
 import pytest
 
 from repro.batch import (
-    BatchCache,
     Fault,
     FaultPlan,
     JobSpec,
     RetryPolicy,
+    SqliteStore,
     diagnose,
+    open_store,
     run_batch,
     scan_results_jsonl,
     write_results_jsonl,
 )
-from repro.batch.cache import shard_prefix
 from repro.batch.faults import ENV_VAR
+from repro.batch.store_sqlite import _Transaction, sqlite_store_path
 from repro.cli import main
 from repro.geometry.engine import MeasureEngine
 
@@ -78,7 +82,7 @@ class TestWorkerFaults:
         report = run_batch(
             _specs(),
             jobs=1,
-            cache=BatchCache(cache_dir),
+            cache=open_store(cache_dir),
             job_timeout=30.0,
             retry_policy=_FAST_RETRIES,
         )
@@ -87,10 +91,10 @@ class TestWorkerFaults:
         monkeypatch.delenv(ENV_VAR)
         # The crash lost neither the finished job results nor the measure
         # entries they exported: a warm rerun is all cache hits, no recompute.
-        warm = run_batch(_specs(), jobs=1, cache=BatchCache(cache_dir))
+        warm = run_batch(_specs(), jobs=1, cache=open_store(cache_dir))
         assert warm.cache_hits == len(_specs())
         assert _jsonl(warm.results) == _jsonl(report.results)
-        store = BatchCache(cache_dir)
+        store = open_store(cache_dir)
         assert store.measure_entry_count(MeasureEngine()) > 0
 
     def test_hang_trips_job_timeout_and_recovers(self, tmp_path, monkeypatch):
@@ -147,39 +151,49 @@ class TestWorkerFaults:
         assert report.worker_restarts == 0
 
 
+def _dump(cache_dir):
+    """Every file name under ``cache_dir`` plus a full dump of the database."""
+    names = sorted(path.name for path in cache_dir.rglob("*"))
+    connection = sqlite3.connect(sqlite_store_path(cache_dir))
+    try:
+        return names, list(connection.iterdump())
+    finally:
+        connection.close()
+
+
 class TestStoreFaults:
-    """Torn writes and bit flips against the checksummed store."""
+    """Torn writes and bit flips against the checksummed store rows."""
 
     def _populate(self, cache_dir):
-        return run_batch([_specs()[0]], jobs=1, cache=BatchCache(cache_dir))
+        return run_batch([_specs()[0]], jobs=1, cache=open_store(cache_dir))
 
     def test_torn_shard_write_is_quarantined_not_silently_missed(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        store = BatchCache(cache_dir)
-        # Only one shard was torn (the fault fires once); its entries read
-        # as misses, but never *silent* ones -- the file is set aside.
+        store = open_store(cache_dir)
+        # Only one row was torn (the fault fires once); it reads as a miss,
+        # but never a *silent* one -- the row is set aside.
         store.load_measures(MeasureEngine())
-        assert store.quarantine_count >= 1
-        quarantined, reason = store.quarantined[0]
-        assert quarantined.parent == store.quarantine_directory
-        assert "measures-" in quarantined.name
-        assert quarantined.with_name(quarantined.name + ".reason").exists()
+        assert store.quarantine_count == 1
+        name, reason = store.quarantined[0]
+        assert name.startswith("measures/")
         assert reason in ("corrupt-json", "checksum-mismatch", "missing-checksum")
+        origin, key, recorded = store.quarantine_rows()[0]
+        assert (f"{origin}/{key}", recorded) == (name, reason)
 
     def test_quarantine_count_reaches_batch_report_and_stats(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="torn-write", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
         report = run_batch(
-            [_specs()[1]], jobs=1, cache=BatchCache(cache_dir)
+            [_specs()[1]], jobs=1, cache=open_store(cache_dir)
         )
         assert report.quarantined_shards >= 1
         assert report.stats.quarantined_shards == report.quarantined_shards
@@ -189,108 +203,109 @@ class TestStoreFaults:
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures-")])
+        plan = _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        flipped = [
-            path
-            for path in cache_dir.glob("measures-*.json")
-            if diagnose(cache_dir).errors
-        ]
+        assert plan.fired_count(0) == 1  # sanity: the flip landed on a row
         report = diagnose(cache_dir)
         assert not report.healthy
         assert report.exit_code == 1
         damaged = [finding for finding in report.errors]
-        assert damaged, "the flipped shard must surface as an error finding"
+        assert damaged, "the flipped row must surface as an error finding"
         assert any(
-            finding.path and "measures-" in finding.path for finding in damaged
+            finding.path and finding.path.startswith("measures/")
+            for finding in damaged
         )
         named = [finding.path for finding in damaged if finding.path]
         assert any(name in report.summary() for name in named)
-        assert flipped  # sanity: the flip actually landed on a shard
 
     def test_doctor_is_read_only_and_flags_quarantine_after_a_read(
         self, tmp_path, monkeypatch
     ):
         cache_dir = tmp_path / "cache"
-        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures-")])
+        _arm(monkeypatch, tmp_path, [Fault(kind="bit-flip", match="measures/")])
         self._populate(cache_dir)
         monkeypatch.delenv(ENV_VAR)
-        before = sorted(path.name for path in cache_dir.rglob("*"))
+        before = _dump(cache_dir)
         diagnose(cache_dir)
-        after = sorted(path.name for path in cache_dir.rglob("*"))
-        assert before == after  # the doctor never mutates the store
-        # A cache read quarantines the damage; the doctor then reports it.
-        BatchCache(cache_dir).load_measures(MeasureEngine())
+        assert _dump(cache_dir) == before  # the doctor never mutates the store
+        # A store read quarantines the damage; the doctor then reports it.
+        open_store(cache_dir).load_measures(MeasureEngine())
         report = diagnose(cache_dir)
         assert report.counts["quarantined"] >= 1
         assert any(finding.code == "quarantined" for finding in report.errors)
         assert report.exit_code == 1
 
 
+class _DieBeforeCommit(_Transaction):
+    """A write transaction whose process dies after its statements ran."""
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None and self._connection.in_transaction:
+            os._exit(137)  # no COMMIT, no ROLLBACK: the process is gone
+        os._exit(1)
+
+
+def _die_inside_the_measure_merge(cache_dir):
+    """Run the batch, but die between ``BEGIN IMMEDIATE`` and ``COMMIT`` of
+    its measure merge."""
+    store = open_store(cache_dir)
+
+    def merge_kind(kind, *args):
+        if kind == "measures":
+            store._transaction = lambda: _DieBeforeCommit(
+                store._connection, store._write_lock
+            )
+        return SqliteStore._merge_kind(store, kind, *args)
+
+    store._merge_kind = merge_kind
+    run_batch(_specs(), jobs=1, cache=store)
+    os._exit(0)
+
+
 class TestMergeDurability:
-    """Write-ahead intents and lock contention on the shared store."""
+    """Transactions and concurrent writers on the shared store."""
 
     @staticmethod
     def _entry(value="1/2"):
         return [["F", value], True, False, "interval"]
 
-    def test_orphaned_intent_is_replayed_by_the_next_merge(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        fingerprint = engine.registry_fingerprint()
-        # Simulate a merge that died after journalling its intent but before
-        # touching any shard: the intent file survives, unlocked.
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "measures", fingerprint, 1, {"crashed-key": self._entry("2/3")}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        assert list(tmp_path.glob("intent-*.json"))
-        cache.merge_measures(engine, {"fresh-key": self._entry("1/5")})
-        entries = cache.load_measures(engine)
-        assert set(entries) == {"crashed-key", "fresh-key"}
-        assert not list(tmp_path.glob("intent-*.json"))
-
-    def test_orphaned_intent_is_replayed_by_prune(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "sweeps", engine.registry_fingerprint(), 1, {"s-key": [0, 1]}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        cache.begin_run()
-        cache.prune(min_age_runs=5)
-        assert set(cache.load_sweeps(engine)) == {"s-key"}
-
-    def test_doctor_reports_an_orphaned_intent_as_a_warning(self, tmp_path):
-        cache = BatchCache(tmp_path)
-        engine = MeasureEngine()
-        with pytest.raises(RuntimeError):
-            with cache._intent(
-                "measures", engine.registry_fingerprint(), 1, {"k": self._entry()}, set()
-            ):
-                raise RuntimeError("killed mid-merge")
-        report = diagnose(tmp_path)
-        assert any(finding.code == "orphaned-intent" for finding in report.warnings)
-        assert report.exit_code == 0  # auto-repaired states do not fail doctor
+    def test_kill_between_begin_and_commit_leaves_a_readable_store(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        cache_dir = tmp_path / "cache"
+        reference = run_batch(_specs(), jobs=1)
+        child = multiprocessing.get_context("fork").Process(
+            target=_die_inside_the_measure_merge, args=(cache_dir,)
+        )
+        child.start()
+        child.join(120)
+        assert child.exitcode == 137
+        store = open_store(cache_dir)
+        assert store.integrity_check() is None
+        # The killed transaction left nothing behind; earlier commits stand.
+        assert store.measure_entry_count(MeasureEngine()) == 0
+        assert store.job_count() == len(_specs())
+        rerun = run_batch(_specs(), jobs=1, cache=store)
+        assert _jsonl(rerun.results) == _jsonl(reference.results)
+        # Recomputing every job merges the entries the dead run never did.
+        with store._transaction() as connection:
+            connection.execute("DELETE FROM jobs")
+        recomputed = run_batch(_specs(), jobs=1, cache=store)
+        assert _jsonl(recomputed.results) == _jsonl(reference.results)
+        assert store.measure_entry_count(MeasureEngine()) > 0
+        assert diagnose(cache_dir).healthy
 
     def test_concurrent_merges_into_the_same_shard_lose_nothing(self, tmp_path):
         engine = MeasureEngine()
-        # Brute-force a pile of keys that share one shard file.
-        by_prefix = {}
-        for index in range(4096):
-            key = f"contended-key-{index}"
-            by_prefix.setdefault(shard_prefix(key), []).append(key)
-        prefix, keys = max(by_prefix.items(), key=lambda item: len(item[1]))
-        assert len(keys) >= 8
+        keys = [f"contended-key-{index}" for index in range(32)]
         chunks = [keys[start::4] for start in range(4)]
         errors = []
 
         def merge(chunk):
             try:
-                cache = BatchCache(tmp_path)
+                cache = open_store(tmp_path)
                 for key in chunk:
                     cache.merge_measures(engine, {key: self._entry()})
             except Exception as exc:  # pragma: no cover - diagnostic only
@@ -302,9 +317,8 @@ class TestMergeDurability:
         for thread in threads:
             thread.join()
         assert not errors
-        entries = BatchCache(tmp_path).load_measures(engine)
-        assert set(keys) <= set(entries)
-        assert not list(tmp_path.glob("intent-*.json"))
+        entries = open_store(tmp_path).load_measures(engine)
+        assert set(entries) == set(keys)
 
 
 class TestResultsFileRobustness:
@@ -343,7 +357,7 @@ class TestResultsFileRobustness:
     def test_unkeyable_spec_is_logged_once_per_batch(self, tmp_path, caplog):
         spec = JobSpec(program="((( broken", analysis="verify")
         with caplog.at_level(logging.WARNING, logger="repro.batch"):
-            run_batch([spec], jobs=1, cache=BatchCache(tmp_path / "cache"))
+            run_batch([spec], jobs=1, cache=open_store(tmp_path / "cache"))
         warnings = [
             record
             for record in caplog.records
@@ -441,12 +455,20 @@ class TestCliAcceptance:
         assert "healthy" in output
         document = json.loads(report_json.read_text())
         assert document["healthy"] is True
-        # Flip one bit in one shard: doctor must now fail and name the file.
-        shard = sorted(cache_dir.glob("measures-*.json"))[0]
-        data = bytearray(shard.read_bytes())
-        data[len(data) // 2] ^= 0x04
-        shard.write_bytes(bytes(data))
+        # Flip one bit in one measures row: doctor must now fail and name it.
+        store = open_store(cache_dir)
+        key, text = store._connection.execute(
+            "SELECT key, document FROM entries WHERE kind = 'measures'"
+            " ORDER BY key LIMIT 1"
+        ).fetchone()
+        middle = len(text) // 2
+        flipped = text[:middle] + chr(ord(text[middle]) ^ 0x04) + text[middle + 1 :]
+        with store._transaction() as connection:
+            connection.execute(
+                "UPDATE entries SET document = ? WHERE kind = 'measures' AND key = ?",
+                (flipped, key),
+            )
         assert main(["doctor", "--cache-dir", str(cache_dir)]) == 1
         output = capsys.readouterr().out
-        assert shard.name in output
+        assert f"measures/{key}" in output
         assert "PROBLEMS FOUND" in output

@@ -358,7 +358,7 @@ def test_the_memo_never_reaches_the_fleet_store(tmp_path):
     stored = {}
     for label, variant in (("cold", cold), ("warm", warm)):
         engine = MeasureEngine()
-        store = open_store(tmp_path / label, backend="json")
+        store = open_store(tmp_path / label)
         run_distributed_schedule(
             variant.name,
             variant,

@@ -1,13 +1,12 @@
-"""Tests for the SQLite store backend: parity with the JSON shards,
-quarantine semantics, GC, migration round-trips, backend discovery."""
+"""Tests for the persistent SQLite store: round trips, quarantine
+semantics, GC, reopening, doctor and prune discovery."""
 
 import json
 import sqlite3
 
 import pytest
 
-from repro.batch import JobSpec, migrate_store, open_store, run_batch, run_job
-from repro.batch.cache import BatchCache
+from repro.batch import JobSpec, open_store, run_batch, run_job
 from repro.batch.store_sqlite import SqliteStore, sqlite_store_path
 from repro.geometry.engine import MeasureEngine
 
@@ -20,30 +19,41 @@ def warm_engine(depth=12):
     return engine, spec, result
 
 
-def populated_json_cache(tmp_path, depth=12):
-    cache = BatchCache(tmp_path)
+def populated_store(tmp_path, depth=12):
+    store = open_store(tmp_path)
     engine, spec, result = warm_engine(depth)
-    run = cache.begin_run()
-    cache.store_job(result)
-    cache.merge_measures(engine, engine.export_cache_entries(), run=run)
-    cache.merge_sweeps(engine, engine.export_sweep_entries(), run=run)
-    return cache, spec, result
+    run = store.begin_run()
+    store.store_job(result)
+    store.merge_measures(engine, engine.export_cache_entries(), run=run)
+    store.merge_sweeps(engine, engine.export_sweep_entries(), run=run)
+    return store, spec, result
+
+
+class _ForeignEngine:
+    """An engine stand-in whose primitives fingerprint differently."""
+
+    @staticmethod
+    def registry_fingerprint():
+        return "other-fingerprint"
 
 
 class TestOpenStore:
-    def test_fresh_directory_defaults_to_json(self, tmp_path):
-        assert isinstance(open_store(tmp_path), BatchCache)
+    def test_fresh_directory_opens_the_database(self, tmp_path):
+        store = open_store(tmp_path / "fresh")
+        assert isinstance(store, SqliteStore)
+        assert store.backend_name == "sqlite"
+        assert sqlite_store_path(tmp_path / "fresh").exists()
 
     def test_auto_picks_sqlite_once_the_database_exists(self, tmp_path):
-        SqliteStore(tmp_path)
-        assert sqlite_store_path(tmp_path).exists()
-        assert isinstance(open_store(tmp_path), SqliteStore)
-
-    def test_explicit_backends(self, tmp_path):
-        assert isinstance(open_store(tmp_path, backend="sqlite"), SqliteStore)
-        assert isinstance(open_store(tmp_path, backend="json"), BatchCache)
-        with pytest.raises(ValueError):
-            open_store(tmp_path, backend="postgres")
+        store, spec, result = populated_store(tmp_path)
+        entries = store.load_measures(MeasureEngine())
+        assert entries
+        store.close()
+        reopened = open_store(tmp_path)
+        assert isinstance(reopened, SqliteStore)
+        # identical job hit, byte for byte, and identical measure entries
+        assert reopened.load_job(spec.key()).to_json_line() == result.to_json_line()
+        assert reopened.load_measures(MeasureEngine()) == entries
 
 
 class TestSqliteStoreParity:
@@ -81,11 +91,10 @@ class TestSqliteStoreParity:
         engine, _spec, _result = warm_engine()
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
-        store.import_entries(
-            "measures", "other-fingerprint", {"bogus-key": ["bogus"]}, touched={}
-        )
+        store.merge_measures(_ForeignEngine(), {"bogus-key": ["bogus"]}, run=1)
         fresh = MeasureEngine()
-        assert len(store.load_measures(fresh)) == len(entries)
+        assert store.load_measures(fresh) == entries
+        assert store.load_measures(_ForeignEngine()) == {"bogus-key": ["bogus"]}
 
     def test_damaged_row_reads_as_miss_and_is_quarantined(self, tmp_path):
         store = SqliteStore(tmp_path)
@@ -144,7 +153,8 @@ class TestSqliteStoreParity:
         engine, _spec, _result = warm_engine()
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
-        store.set_run_counter(10)
+        for _ in range(10):
+            store.begin_run()
         report = store.prune(min_age_runs=3)
         assert report.pruned.get("measures") == len(entries)
         # freshly touched entries survive the same cutoff
@@ -159,7 +169,8 @@ class TestSqliteStoreParity:
         entries = engine.export_cache_entries()
         store.merge_measures(engine, entries, run=1)
         touched = set(entries)
-        store.set_run_counter(9)
+        for _ in range(9):
+            store.begin_run()
         store.merge_measures(engine, {}, run=9, touched_keys=touched)
         report = store.prune(min_age_runs=3)
         assert report.pruned.get("measures", 0) == 0
@@ -176,71 +187,13 @@ class TestSqliteStoreParity:
         assert second.load_job(result.key) is not None
 
 
-class TestMigration:
-    def test_round_trip_preserves_persistent_hits(self, tmp_path):
-        cache, spec, result = populated_json_cache(tmp_path)
-        json_entries = cache.load_measures(MeasureEngine())
-        report = migrate_store(tmp_path)
-        assert report.jobs == 1
-        assert report.entries.get("measures") == len(json_entries)
-        store = open_store(tmp_path)
-        assert isinstance(store, SqliteStore)
-        # identical job hit, byte for byte
-        migrated = store.load_job(spec.key())
-        assert migrated is not None
-        assert migrated.to_json_line() == result.to_json_line()
-        # identical measure entries
-        assert store.load_measures(MeasureEngine()) == json_entries
-
-    def test_migration_removes_json_files_by_default(self, tmp_path):
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
-        assert not list(tmp_path.glob("measures-*.json"))
-        assert not (tmp_path / "jobs").exists()
-        assert not (tmp_path / "meta.json").exists()
-
-    def test_keep_json_leaves_the_shards(self, tmp_path):
-        populated_json_cache(tmp_path)
-        report = migrate_store(tmp_path, keep_json=True)
-        assert report.kept_json
-        assert list(tmp_path.glob("measures-*.json"))
-        assert sqlite_store_path(tmp_path).exists()
-
-    def test_migration_is_idempotent(self, tmp_path):
-        populated_json_cache(tmp_path)
-        first = migrate_store(tmp_path)
-        second = migrate_store(tmp_path)
-        assert second.jobs == 0
-        assert first.run_counter == second.run_counter
-
-    def test_migration_preserves_run_counter_and_touch_stamps(self, tmp_path):
-        cache, _spec, _result = populated_json_cache(tmp_path)
-        for _ in range(4):
-            cache.begin_run()
-        migrate_store(tmp_path)
-        store = SqliteStore(tmp_path)
-        assert store.run_counter() == 5
-        # entries were touched at run 1, so a 3-run cutoff prunes them
-        report = store.prune(min_age_runs=3)
-        assert report.pruned.get("measures", 0) > 0
-
-    def test_damaged_job_files_are_skipped_and_counted(self, tmp_path):
-        cache, spec, _result = populated_json_cache(tmp_path)
-        (cache.jobs_directory / f"{spec.key()}.json").write_text("{torn")
-        report = migrate_store(tmp_path)
-        assert report.skipped_jobs == 1
-        assert report.jobs == 0
-
-
 class TestWarmReruns:
-    def test_migrated_store_serves_a_batch_with_zero_recomputation(self, tmp_path):
+    def test_reopened_store_serves_a_batch_with_zero_recomputation(self, tmp_path):
         from repro.batch import table1_suite
 
         specs = table1_suite(depth=12)
         cold = run_batch(specs, cache=open_store(tmp_path))
-        migrate_store(tmp_path)
         store = open_store(tmp_path)
-        assert isinstance(store, SqliteStore)
         warm_engine_ = MeasureEngine()
         warm = run_batch(specs, cache=store, engine=warm_engine_)
         assert [r.to_json_line() for r in warm.results] == [
@@ -250,22 +203,98 @@ class TestWarmReruns:
         assert warm_engine_.stats.measure_requests == 0
 
 
+class TestDifferential:
+    """No store, a cold store and a warm store emit the same bytes."""
+
+    @pytest.mark.parametrize("suite", ["table1", "sweep"])
+    def test_store_never_changes_the_jsonl(self, tmp_path, suite, capsys):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "cache"
+        outputs = {}
+
+        def run(label, *flags):
+            path = tmp_path / f"{label}.jsonl"
+            command = ["batch", "--suite", suite, "--jobs", "1", "--output", str(path)]
+            assert main(command + list(flags)) == 0
+            outputs[label] = path.read_bytes()
+
+        run("no-store")
+        run("cold", "--cache-dir", str(cache_dir))
+        run("warm", "--cache-dir", str(cache_dir))
+        # Without job rows the rerun recomputes from measure/sweep rows.
+        store = open_store(cache_dir)
+        with store._transaction() as connection:
+            connection.execute("DELETE FROM jobs")
+        store.close()
+        run("entries", "--cache-dir", str(cache_dir))
+        capsys.readouterr()
+        assert outputs["cold"] == outputs["no-store"]
+        assert outputs["warm"] == outputs["no-store"]
+        assert outputs["entries"] == outputs["no-store"]
+
+    def test_two_worker_fleet_stores_the_single_process_frontier(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        frontiers = {}
+        for jobs in (1, 2):
+            cache_dir = tmp_path / f"explore-jobs-{jobs}"
+            command = [
+                "lower-bound",
+                "sig-branch3(3/5)",
+                "--schedule",
+                "10,25,40",
+                "--cache-dir",
+                str(cache_dir),
+                "--explore-jobs",
+                str(jobs),
+            ]
+            assert main(command) == 0
+            # The master frontier row; shard rows carry ``:`` in their key.
+            frontiers[jobs] = (
+                open_store(cache_dir)
+                ._connection.execute(
+                    "SELECT key, document FROM entries"
+                    " WHERE kind = 'frontiers' AND key NOT LIKE '%:%'"
+                )
+                .fetchall()
+            )
+        capsys.readouterr()
+        assert len(frontiers[1]) == 1
+        assert frontiers[2] == frontiers[1]
+
+
 class TestDoctorAndPruneDiscovery:
-    def test_doctor_reports_cleanly_on_a_migrated_directory(self, tmp_path):
+    def test_doctor_reports_cleanly_on_a_written_store(self, tmp_path):
         from repro.batch.doctor import diagnose
 
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
+        populated_store(tmp_path)
         report = diagnose(tmp_path)
         assert report.exit_code == 0
-        assert report.counts["job_files"] == 1
+        assert report.counts["job_rows"] == 1
         assert report.counts["measures_entries"] > 0
+
+    def test_doctor_warns_about_foreign_fingerprints(self, tmp_path):
+        from repro.batch.doctor import diagnose
+
+        open_store(tmp_path).merge_measures(_ForeignEngine(), {"k": ["v"]}, run=0)
+        report = diagnose(tmp_path)
+        assert report.exit_code == 0
+        assert any(f.code == "foreign-fingerprint" for f in report.warnings)
+
+    def test_doctor_leaves_a_directory_without_a_store_alone(self, tmp_path):
+        from repro.batch.doctor import diagnose
+
+        report = diagnose(tmp_path)
+        assert report.exit_code == 0
+        assert not sqlite_store_path(tmp_path).exists()
 
     def test_doctor_flags_database_damage(self, tmp_path):
         from repro.batch.doctor import diagnose
 
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
+        populated_store(tmp_path)
         store = SqliteStore(tmp_path)
         with store._connection:
             store._connection.execute("UPDATE jobs SET document = 'garbage'")
@@ -287,25 +316,15 @@ class TestDoctorAndPruneDiscovery:
         assert report.exit_code == 1
         assert any(f.code == "quarantined" for f in report.errors)
 
-    def test_cli_prune_works_on_a_migrated_directory(self, tmp_path, capsys):
+    def test_cli_prune_works_on_a_populated_store(self, tmp_path, capsys):
         from repro.cli import main
 
-        populated_json_cache(tmp_path)
-        migrate_store(tmp_path)
+        populated_store(tmp_path)
         exit_code = main(
             ["batch", "prune", "--cache-dir", str(tmp_path), "--keep-runs", "5"]
         )
         assert exit_code == 0
         assert "pruned the persistent store" in capsys.readouterr().out
-
-    def test_store_flag_forces_a_backend(self, tmp_path):
-        from repro.config import ReproConfig
-
-        SqliteStore(tmp_path)
-        config = ReproConfig(cache_dir=str(tmp_path), store_backend="json")
-        assert isinstance(config.open_store(), BatchCache)
-        config = ReproConfig(cache_dir=str(tmp_path), store_backend="auto")
-        assert isinstance(config.open_store(), SqliteStore)
 
 
 class TestReadOnlyTolerance:
