@@ -9,7 +9,7 @@ computed three ways:
 * **joint-uncached** -- ``block_sweep=False`` with the memo disabled: the
   historical full-dimensional fixed-depth sweep,
 * **joint** -- ``block_sweep=False`` with the memo enabled: must be
-  *bit-identical* to joint-uncached (the ``--no-block-sweep`` guarantee),
+  *bit-identical* to joint-uncached (the joint reference's guarantee),
 * **block** -- the default engine: per-block sweeping with the position-
   independent sweep memo.
 
@@ -69,7 +69,7 @@ def test_block_sweep_cuts_boxes_and_tightens_bounds():
         joint, joint_engine, joint_elapsed = _bound(program, joint_options)
         block, block_engine, block_elapsed = _bound(program)
 
-        # The --no-block-sweep path must reproduce the historical sweep
+        # The joint reference must reproduce the historical sweep
         # bit-for-bit, cached or not.
         assert joint.probability == uncached.probability, name
         assert joint.measure_gap == uncached.measure_gap, name

@@ -343,7 +343,7 @@ def run_batch(
             progress(result, completed, total)
 
     # Cached job results were computed under the default engine options, so
-    # an explicitly configured engine (``--no-block-sweep``, a sweep budget,
+    # an explicitly configured engine (a sweep budget, ``--no-sweep-kernel``,
     # ...) must not replay them -- its own answers can differ -- and must
     # run inline: pool workers build default engines and would silently
     # compute default-option results.  The measure/sweep stores stay shared

@@ -30,14 +30,10 @@ program (as listed by ``list-programs``).
 The measuring commands build one shared
 :class:`~repro.geometry.engine.MeasureEngine` per invocation, so every
 analysis a command runs draws from a single memoized measure cache; pass
-``--no-measure-cache`` to disable memoization (results are bit-identical,
-only slower), ``--no-block-memo`` to memoize whole sets without the
-block decomposition, and ``--stats`` to print the engine's
-:class:`~repro.geometry.stats.PerfStats` counters after the run.
-Non-affine constraint sets are swept block by block by default, which
-tightens emitted lower bounds; ``--no-block-sweep`` restores the joint
-full-dimensional sweep, and ``--sweep-depth``, ``--sweep-gap`` and
-``--sweep-max-boxes`` tune the adaptive refinement budget.
+``--stats`` to print the engine's :class:`~repro.geometry.stats.PerfStats`
+counters after the run.  Non-affine constraint sets are swept block by
+block, and ``--sweep-depth``, ``--sweep-gap`` and ``--sweep-max-boxes``
+tune the adaptive refinement budget.
 ``python -m repro batch prune --cache-dir ... --keep-runs N`` garbage-
 collects persistent measure/sweep entries untouched for N runs.
 
@@ -110,8 +106,7 @@ def _measure_options(arguments: argparse.Namespace) -> MeasureOptions:
 
 
 def _measure_engine(arguments: argparse.Namespace) -> MeasureEngine:
-    """The per-command shared measure engine, honouring ``--no-measure-cache``,
-    ``--no-block-memo``, ``--no-block-sweep`` and the sweep budget flags."""
+    """The per-command shared measure engine, honouring the sweep flags."""
     return _config(arguments).measure_engine()
 
 
@@ -880,23 +875,6 @@ def _add_fault_flags(subparser: argparse.ArgumentParser) -> None:
 def _add_measure_flags(subparser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that measures constraint sets."""
     subparser.add_argument(
-        "--no-measure-cache",
-        action="store_true",
-        help="disable the shared memoizing measure engine (bit-identical, slower)",
-    )
-    subparser.add_argument(
-        "--no-block-memo",
-        action="store_true",
-        help="memoize whole constraint sets only, without the block "
-        "decomposition (bit-identical on the rational backend, slower)",
-    )
-    subparser.add_argument(
-        "--no-block-sweep",
-        action="store_true",
-        help="sweep non-affine constraint sets jointly instead of block by "
-        "block (restores the pre-block-sweep bounds: sound but looser)",
-    )
-    subparser.add_argument(
         "--sweep-depth",
         type=int,
         default=None,
@@ -922,14 +900,6 @@ def _add_measure_flags(subparser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="classify sweep boxes one at a time through the scalar loop "
         "instead of the vectorized chunk kernel (bit-identical, slower)",
-    )
-    subparser.add_argument(
-        "--contract",
-        action="store_true",
-        help="run the interval-Newton / monotonicity contractor on boxes "
-        "the sweep classifier leaves undecided (certifiably tighter "
-        "bounds at equal budget; changes emitted inexact bounds, so "
-        "results persist under distinct store keys)",
     )
     subparser.add_argument(
         "--stats",
@@ -977,8 +947,21 @@ def _add_schedule_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ExactFlagParser(argparse.ArgumentParser):
+    """An argument parser that accepts long flags only when spelled in full.
+
+    argparse's default prefix matching would silently read ``--no-`` as
+    ``--no-sweep-kernel``.  Subparsers inherit the parser class, so every
+    subcommand rejects abbreviations too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ExactFlagParser(
         prog="repro",
         description="Probabilistic termination analyses for SPCF programs "
         "(Beutner & Ong, PLDI 2021 reproduction).",

@@ -1,11 +1,8 @@
 """``ReproConfig``: one object for every knob the CLI, batch and daemon share.
 
-Seven PRs accreted flags in layers -- measure-engine toggles, sweep budgets,
-anytime schedules, batch fan-out, store location, fault
-tolerance, tracing -- each parsed ad hoc off an ``argparse.Namespace`` by a
-scattering of ``_measure_options`` / ``_batch_cache`` / ``_retry_policy``
-helpers.  This module consolidates that surface into a single frozen
-dataclass with one precedence rule:
+The shared knobs -- sweep budgets and the kernel toggle, anytime schedules,
+batch fan-out, store location, fault tolerance, tracing -- live in a
+single frozen dataclass with one precedence rule:
 
     explicit constructor/flag value  >  ``ReproConfig`` field default
 
@@ -24,6 +21,12 @@ bare ``run_batch`` call all mean the same computation.  The same object is
 Derived objects are built on demand -- :meth:`measure_options`,
 :meth:`measure_engine`, :meth:`retry_policy`, :meth:`open_store` -- so the
 config stays a plain value: hashable, comparable, loggable.
+
+The measure engine has one regime: memoized, block-decomposed, block-swept,
+with every sweep a pure dyadic bisection.  Only the sweep budgets and
+``--no-sweep-kernel`` (a bit-identical speed toggle) configure it; any of
+them set makes :meth:`nondefault_engine` true, which keeps the run inline
+and off the job-result cache.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ class ReproConfig:
     """Every shared knob of a measuring command, with library defaults."""
 
     # -- measure engine --------------------------------------------------------
-    measure_cache: bool = True
-    """``--no-measure-cache`` disables the memoizing engine (slower, identical)."""
-
-    block_memo: bool = True
-    """``--no-block-memo`` memoizes whole sets without block decomposition."""
-
-    block_sweep: bool = True
-    """``--no-block-sweep`` restores the joint non-affine sweep (looser)."""
-
     sweep_depth: Optional[int] = None
     """``--sweep-depth``: bisection budget (None = library default)."""
 
@@ -64,10 +58,6 @@ class ReproConfig:
     sweep_kernel: bool = True
     """``--no-sweep-kernel`` restores the scalar classification loop
     (bit-identical results, slower)."""
-
-    contract: bool = False
-    """``--contract`` runs the interval-Newton contractor on undecided boxes
-    (tighter bounds at equal budget; result-changing, so off by default)."""
 
     # -- anytime schedules -----------------------------------------------------
     schedule: Optional[Tuple[int, ...]] = None
@@ -127,14 +117,10 @@ class ReproConfig:
 
         schedule = flag("schedule")
         return cls(
-            measure_cache=not flag("no_measure_cache", False),
-            block_memo=not flag("no_block_memo", False),
-            block_sweep=not flag("no_block_sweep", False),
             sweep_depth=flag("sweep_depth"),
             sweep_gap=flag("sweep_gap"),
             sweep_max_boxes=flag("sweep_max_boxes"),
             sweep_kernel=not flag("no_sweep_kernel", False),
-            contract=flag("contract", False) or False,
             schedule=tuple(schedule) if schedule else None,
             target_gap=flag("target_gap"),
             jobs=flag("jobs"),
@@ -160,24 +146,18 @@ class ReproConfig:
             sweep_depth=(
                 defaults.sweep_depth if self.sweep_depth is None else self.sweep_depth
             ),
-            block_sweep=self.block_sweep,
             sweep_target_gap=(
                 defaults.sweep_target_gap if self.sweep_gap is None else self.sweep_gap
             ),
             sweep_max_boxes=self.sweep_max_boxes,
             sweep_kernel=self.sweep_kernel,
-            contract=self.contract,
         )
 
     def measure_engine(self):
-        """A fresh shared engine honouring the cache/memo/sweep knobs."""
+        """A fresh shared engine honouring the sweep knobs."""
         from repro.geometry.engine import MeasureEngine
 
-        return MeasureEngine(
-            options=self.measure_options(),
-            cache_enabled=self.measure_cache,
-            block_decomposition=self.block_memo,
-        )
+        return MeasureEngine(options=self.measure_options())
 
     def nondefault_engine(self) -> bool:
         """Whether any knob selects a non-default engine configuration.
@@ -186,14 +166,10 @@ class ReproConfig:
         and cached job results were computed under default options.
         """
         return (
-            not self.measure_cache
-            or not self.block_memo
-            or not self.block_sweep
-            or self.sweep_depth is not None
+            self.sweep_depth is not None
             or self.sweep_gap is not None
             or self.sweep_max_boxes is not None
             or not self.sweep_kernel
-            or self.contract
         )
 
     def effective_jobs(self, default: int = 1) -> int:

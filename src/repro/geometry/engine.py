@@ -27,10 +27,13 @@ the refutation measures one pattern per sample argument.  A
   but into *swept* blocks: each block runs its own certified subdivision
   sweep in ``[0,1]^{d_i}`` and the per-block ``[lower, upper]`` intervals
   combine as products, which provably tightens the lower bound against the
-  joint full-dimensional sweep at equal budget.  Because emitted (inexact)
-  bounds improve, this path is gated by
-  :attr:`~repro.geometry.measure.MeasureOptions.block_sweep` (default on;
-  the CLI's ``--no-block-sweep`` restores the joint sweep).  Per-block
+  joint full-dimensional sweep at equal budget.  Every block sweep runs the
+  one regime of :mod:`repro.geometry.sweep` -- pure dyadic bisection with
+  exact integer mass -- so a block's bracket is a function of the block
+  and the sweep budget alone.  (The joint sweep survives only as the
+  library-level reference
+  :attr:`~repro.geometry.measure.MeasureOptions.block_sweep` ``=False``,
+  which tests and benchmarks compare against.)  Per-block
   :class:`~repro.geometry.sweep.SweepResult`\\ s are memoized under the
   position-independent canonical block key *plus the sweep budget* and
   persisted as ``sweeps`` rows of the batch store, so a
@@ -48,11 +51,12 @@ the refutation measures one pattern per sample argument.  A
   block lookups, sweep boxes and polytope invocations for benchmarks and
   ``--stats``.
 
-Disabling the cache (``cache_enabled=False``, the CLI's
-``--no-measure-cache``) turns the engine into a counted pass-through with the
-same canonicalization *and the same block decomposition*, which is how the
-perf benchmark checks bit-identity; ``block_decomposition=False`` (the CLI's
-``--no-block-memo``) restores the whole-set-only memoization for ablations.
+Two library-level reference configurations exist for tests and
+benchmarks; no CLI flag selects them.  ``cache_enabled=False`` turns the
+engine into a counted pass-through with the same canonicalization *and the
+same block decomposition*, which is how the perf benchmark checks
+bit-identity; ``block_decomposition=False`` restores the whole-set-only
+memoization.
 
 Invariants
 ----------
@@ -637,7 +641,6 @@ class MeasureEngine:
                 resume=resume,
                 collect_frontier=depth_budget_only,
                 use_kernel=options.sweep_kernel,
-                contract=options.contract,
             )
         finally:
             if kernel_token is not None:
@@ -764,12 +767,9 @@ class MeasureEngine:
                 f"d{dimension}",
                 f"o{options.max_hull_dimension}.{options.sweep_depth}.{int(options.prefer_sweep)}"
                 f".{int(options.block_sweep)}.{options.sweep_target_gap}"
-                f".{options.sweep_max_boxes}"
-                # The contractor changes emitted bounds, so it is keyed --
-                # but only when enabled, so every pre-contract store entry
-                # keeps its historic key.  ``sweep_kernel`` is deliberately
-                # absent: kernel results are bit-identical to scalar ones.
-                + (".c" if options.contract else ""),
+                # ``sweep_kernel`` is deliberately absent: kernel results
+                # are bit-identical to scalar ones.
+                f".{options.sweep_max_boxes}",
                 f"a{argument!r}",
             ]
         )
@@ -799,12 +799,8 @@ class MeasureEngine:
         options = self.options
         if sweep_depth is None:
             sweep_depth = options.sweep_depth
-        return (
-            f"|s{sweep_depth}.{options.sweep_target_gap}.{options.sweep_max_boxes}"
-            # Keyed only when enabled (see :meth:`persistent_key`); the
-            # kernel never appears here -- its results are bit-identical.
-            + (".c" if options.contract else "")
-        )
+        # The kernel never appears here -- its results are bit-identical.
+        return f"|s{sweep_depth}.{options.sweep_target_gap}.{options.sweep_max_boxes}"
 
     def export_cache_entries(self) -> Dict[str, List]:
         """Serialize memoized results added since the last import/export.

@@ -11,6 +11,11 @@ constraint set inside the unit cube:
   certified subdivision sweep,
 * non-affine constraint sets fall back to the sweep (sound lower bound).
 
+The sweep has a single regime -- pure dyadic bisection of the unit cube
+with exact integer mass (:mod:`repro.geometry.sweep`) -- and
+:class:`MeasureOptions` carries only its budgets, the kernel toggle and
+the library-level reference knobs (``prefer_sweep``, ``block_sweep``).
+
 The result records whether the returned value is exact or only a certified
 lower bound, so callers (in particular the lower-bound engine, whose whole
 purpose is soundness) can propagate that information.
@@ -62,8 +67,9 @@ class MeasureOptions:
     Each connected variable block is swept in its own ``[0,1]^{d_i}`` box and
     the bounds combine as interval products, which provably tightens lower
     bounds at equal depth budget -- emitted (inexact) bounds therefore
-    *change* when toggling this, unlike every other cache knob.  The CLI's
-    ``--no-block-sweep`` restores the joint sweep.
+    *change* when toggling this, unlike every other cache knob.  ``False``
+    is a library-only reference configuration (the joint sweep) that tests
+    and benchmarks compare against; no CLI flag selects it.
     """
 
     sweep_target_gap: Number = Fraction(0)
@@ -80,15 +86,6 @@ class MeasureOptions:
     ``block_sweep`` -- never changes a computed value and is deliberately
     *excluded* from persistent store keys.  ``--no-sweep-kernel`` restores
     the scalar loop; sets the kernel cannot compile fall back per set.
-    """
-
-    contract: bool = False
-    """Run the interval-Newton / monotonicity contractor on undecided boxes.
-
-    Contraction certifiably tightens bounds at equal box budget, so emitted
-    (inexact) values *change* when toggled -- like ``block_sweep`` it is a
-    result-changing knob, keyed into the persistent stores (only when
-    enabled, so legacy entries stay valid) and re-blessed in benchmarks.
     """
 
 
@@ -165,7 +162,6 @@ def measure_constraints(
             target_gap=options.sweep_target_gap,
             max_boxes=options.sweep_max_boxes,
             use_kernel=options.sweep_kernel,
-            contract=options.contract,
         )
         exact = sweep.undecided == 0
         return MeasureResult(
@@ -246,7 +242,6 @@ def _measure_block(variables, halfspaces, constraints, options, registry, stats=
         target_gap=options.sweep_target_gap,
         max_boxes=options.sweep_max_boxes,
         use_kernel=options.sweep_kernel,
-        contract=options.contract,
     )
     exact = sweep.undecided == 0
     return sweep.lower, exact, "sweep"

@@ -111,14 +111,6 @@ class PerfStats:
     :attr:`sweep_boxes_examined`; the remainder went through the scalar
     path or a scalar re-check)."""
 
-    contractions: int = _counter("contractions")
-    """Boxes the interval-Newton contractor shrank, decided, or rejected."""
-
-    contracted_volume: float = _counter("contracted volume")
-    """Total volume the contractor certifiably removed from the undecided
-    gap (a float diagnostic, not a gated counter: it sums rounded
-    ``Fraction`` differences)."""
-
     sweep_warm_starts: int = _counter("sweep warm starts")
     """Base block sweeps resumed from a shallower budget's persisted frontier.
 

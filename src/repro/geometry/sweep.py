@@ -39,38 +39,28 @@ over the remaining constraints equals its status over the full set -- it
 only skips redundant ``box_status`` evaluations, which are reported through
 :class:`~repro.geometry.stats.PerfStats` and on :class:`SweepResult`.
 
-Without contraction every box is a pure bisection of the unit cube, so its
-volume is *exactly* ``2**-depth``: the heap keys on the integer depth
-(order-isomorphic to volume, ties broken by the same push counter) and
-accepted/undecided mass accumulates in integer numerators at scale
-``2**max_depth``, materializing the exact ``Fraction`` bounds only once at
-the end -- the same rational values the historical per-box ``Fraction``
-sums produced, bit for bit.  Contraction shaves boxes to non-power-of-two
-volumes, so that regime keys the heap on exact ``-volume`` instead.
+Every box is a pure bisection of the unit cube, so its volume is *exactly*
+``2**-depth``: the heap keys on the integer depth (order-isomorphic to
+volume, ties broken by the push counter) and accepted/undecided mass
+accumulates in integer numerators at scale ``2**max_depth``, materializing
+the exact ``Fraction`` bounds only once at the end -- the same rational
+values per-box ``Fraction`` sums would produce, bit for bit.
 
 With ``use_kernel`` the traversal classifies boxes in *chunks* through the
 vectorized tape of :mod:`repro.geometry.kernel` instead of one scalar
 ``box_status`` walk per box.  The chunking is a re-batching of the exact
-scalar pop order -- a chunk only extends while the heap's top holds at
-least half the first popped volume, and any child a chunk member generates
-has at most half that volume *and* a later push counter, so every chunk
-member precedes every such child in the scalar order too.  The kernel only
-*classifies* (its outward-rounded float intervals enclose the scalar ones,
-so its ``True``/``False`` verdicts imply the scalar verdicts; its
-inward-rounded inner intervals certify lanes whose scalar verdict is
+scalar pop order -- a chunk only extends while the heap's top is at most
+one depth level below the first popped box, and any child a chunk member
+generates is at least one level deeper *and* has a later push counter, so
+every chunk member precedes every such child in the scalar order too.  The
+kernel only *classifies* (its outward-rounded float intervals enclose the
+scalar ones, so its ``True``/``False`` verdicts imply the scalar verdicts;
+its inward-rounded inner intervals certify lanes whose scalar verdict is
 provably ``None``; every other lane is re-checked with the exact scalar
-``box_status``); all accepted mass stays on the exact ``Fraction`` path.
+``box_status``); all accepted mass stays on the exact integer path.
 Bounds, counters, frontiers and every persisted :class:`SweepResult` are
 therefore bit-identical to the scalar sweep, and a set the kernel cannot
 compile silently falls back.
-
-``contract`` independently enables the interval-Newton / monotonicity
-contractor (:mod:`repro.geometry.contract`) on boxes classification leaves
-undecided: certifiably-violating slabs are shaved off and fully-monotone
-constraints are decided at their worst corner, moving volume out of the
-undecided gap at equal box budget.  Contraction *changes* the refinement
-tree (deliberately -- bounds only tighten), so it is off by default and
-contract-enabled results persist under distinct store keys.
 
 :func:`sweep_measure` and :func:`sweep_accepted_boxes` share one traversal
 core (:func:`_sweep`), so the accepted boxes witnessing a lower bound (the
@@ -103,7 +93,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.geometry import kernel as _kernel
-from repro.geometry.contract import contract_box
 from repro.geometry.stats import PerfStats
 from repro.intervals.box import Box, unit_box
 from repro.intervals.interval import Interval, float_pair
@@ -185,7 +174,7 @@ class SweepResult:
 
 
 def _dyadic_split(box: Box, depth: int) -> Tuple[Box, Box]:
-    """``box.split()`` specialized to the pure-bisection (dyadic) regime.
+    """Bisect a depth-``depth`` box of the sweep along its widest dimension.
 
     A depth-``k`` box of the round-robin bisection of the unit cube has its
     first ``k mod d`` dimensions one level narrower than the rest, so the
@@ -273,7 +262,6 @@ def _sweep(
     resume: Optional[SweepFrontier] = None,
     collect_frontier: bool = False,
     use_kernel: bool = False,
-    contract: bool = False,
     kernel_chunk: int = _KERNEL_CHUNK,
     kernel_warmup: int = _KERNEL_WARMUP,
 ) -> SweepResult:
@@ -293,8 +281,7 @@ def _sweep(
 
     ``use_kernel`` routes classification through the vectorized chunk
     kernel when the set compiles (bit-identical results, see the module
-    docstring); ``contract`` enables the interval-Newton contractor (which
-    changes -- only ever tightens -- the results).
+    docstring).
     """
     registry = registry or default_registry()
     if dimension == 0:
@@ -319,14 +306,11 @@ def _sweep(
     compiled = None
     kernel_pending = use_kernel and _kernel.kernel_available()
 
-    # Heap entries are ``(key, counter, box, depth, active)`` in both
-    # regimes (see the module docstring): integer-depth keys and scaled
-    # integer mass without contraction, exact ``-volume`` keys and
-    # ``Fraction`` mass with it.  The push counter breaks key ties
-    # deterministically in insertion order; ``pending`` tracks the volume
-    # still on the frontier so the gap test is O(1), and is only
-    # maintained when a gap budget exists.
-    dyadic = not contract
+    # Heap entries are ``(depth, counter, box, active)``: the depth orders
+    # boxes by volume (see the module docstring) and the push counter
+    # breaks ties deterministically in insertion order.  Mass accumulates
+    # in integer numerators at scale ``unit``; ``pending_scaled`` tracks
+    # the mass still on the frontier so the gap test is O(1).
     unit = 1 << max_depth
     use_gap = target_gap > 0
     if use_gap:
@@ -334,9 +318,6 @@ def _sweep(
         gap_num = gap.numerator << max_depth
         gap_den = gap.denominator
 
-    lower: Number = Fraction(0)
-    undecided: Number = Fraction(0)
-    pending: Number = Fraction(0)
     lower_scaled = 0
     undecided_scaled = 0
     pending_scaled = 0
@@ -344,8 +325,6 @@ def _sweep(
     saved = 0
     kernel_batches = 0
     kernel_boxes = 0
-    contractions = 0
-    contracted_volume = 0.0
     total_constraints = len(constraints)
     frontier_boxes: Optional[List[Tuple[Box, int, Tuple[int, ...]]]] = (
         [] if collect_frontier else None
@@ -357,12 +336,8 @@ def _sweep(
     )
 
     if resume is None:
-        root_key = 0 if dyadic else Fraction(-1)
-        heap = [(root_key, 0, unit_box(dimension), 0, constraints.constraints)]
-        if dyadic:
-            pending_scaled = unit
-        else:
-            pending = Fraction(1)
+        heap = [(0, 0, unit_box(dimension), constraints.constraints)]
+        pending_scaled = unit
         pushes = 1
         base_lower: Number = Fraction(0)
         base_examined = 0
@@ -378,14 +353,10 @@ def _sweep(
         for box, depth, active_indices in resume.boxes:
             active = tuple(constraints.constraints[index] for index in active_indices)
             child_depth = depth + 1
-            for child in _dyadic_split(box, depth) if dyadic else box.split():
-                key = child_depth if dyadic else -child.volume
-                heapq.heappush(heap, (key, pushes, child, child_depth, active))
+            for child in _dyadic_split(box, depth):
+                heapq.heappush(heap, (child_depth, pushes, child, active))
                 pushes += 1
-                if dyadic:
-                    pending_scaled += unit >> child_depth
-                else:
-                    pending = pending + child.volume
+                pending_scaled += unit >> child_depth
         base_lower = resume.lower
         base_examined = resume.boxes_examined
         base_saved = resume.evaluations_saved
@@ -408,29 +379,15 @@ def _sweep(
             if compiled is not None:
                 break
         if (max_boxes is not None and examined >= max_boxes) or (
-            use_gap
-            and (
-                (undecided_scaled + pending_scaled) * gap_den <= gap_num
-                if dyadic
-                else undecided + pending <= gap
-            )
+            use_gap and (undecided_scaled + pending_scaled) * gap_den <= gap_num
         ):
             # Budget reached: everything still on the frontier is undecided.
             early_exit = True
-            if dyadic:
-                for entry in heap:
-                    undecided_scaled += unit >> entry[0]
-            else:
-                for entry in heap:
-                    undecided = undecided - entry[0]
+            undecided_scaled += sum(unit >> entry[0] for entry in heap)
             break
-        key, _, box, depth, active = heapq.heappop(heap)
-        if dyadic:
-            scaled = unit >> depth
-            pending_scaled -= scaled
-        else:
-            volume = -key
-            pending = pending - volume
+        depth, _, box, active = heapq.heappop(heap)
+        scaled = unit >> depth
+        pending_scaled -= scaled
         examined += 1
         saved += total_constraints - len(active)
         mapping: Dict[int, Interval] = {
@@ -440,50 +397,22 @@ def _sweep(
         if remaining is None:
             continue
         if not remaining:
-            if dyadic:
-                lower_scaled += scaled
-            else:
-                lower = lower + volume
+            lower_scaled += scaled
             if accepted is not None:
                 accepted.append(box)
             continue
-        if contract:
-            outcome = contract_box(box, remaining, registry, argument)
-            if outcome is None:
-                # The whole box certifiably violates a constraint.
-                contractions += 1
-                contracted_volume += float(volume)
-                continue
-            new_box, new_remaining = outcome
-            new_volume = new_box.volume
-            if new_volume != volume or len(new_remaining) != len(remaining):
-                contractions += 1
-                contracted_volume += float(volume - new_volume)
-                box, volume, remaining = new_box, new_volume, new_remaining
-                if not remaining:
-                    lower = lower + volume
-                    if accepted is not None:
-                        accepted.append(box)
-                    continue
         if depth >= max_depth:
-            if dyadic:
-                undecided_scaled += scaled
-            else:
-                undecided = undecided + volume
+            undecided_scaled += scaled
             if frontier_boxes is not None:
                 frontier_boxes.append(
                     (box, depth, tuple(index_of[constraint] for constraint in remaining))
                 )
             continue
         child_depth = depth + 1
-        child_key = child_depth if dyadic else -(volume / 2)
-        for child in _dyadic_split(box, depth) if dyadic else box.split():
-            heapq.heappush(heap, (child_key, pushes, child, child_depth, remaining))
+        for child in _dyadic_split(box, depth):
+            heapq.heappush(heap, (child_depth, pushes, child, remaining))
             pushes += 1
-        if dyadic:
-            pending_scaled += scaled
-        else:
-            pending = pending + volume
+        pending_scaled += scaled
         if len(heap) > heap_peak:
             heap_peak = len(heap)
     if compiled is not None and not early_exit:
@@ -495,7 +424,7 @@ def _sweep(
         kernel_true = _kernel.KERNEL_TRUE
         kernel_false = _kernel.KERNEL_FALSE
         kernel_sure = _kernel.KERNEL_UNDECIDED_SURE
-        # Pure-bisection endpoints up to depth 52 are dyadic rationals that
+        # Bisection endpoints up to depth 52 are dyadic rationals that
         # convert to float exactly: endpoint conversion needs no rounding
         # analysis, and outer and inner banks coincide.  In that regime the
         # loop also carries one (lo_row, hi_row) pair of float lists per
@@ -505,35 +434,24 @@ def _sweep(
         # chunk arrays never convert a ``Fraction`` at all.  Entries pushed
         # before the handoff (warmup, resume seeds) have no row yet and
         # convert lazily on first pop.
-        exact_floats = dyadic and max_depth <= 52
+        exact_floats = max_depth <= 52
         float_rows: Dict[int, Tuple[List[float], List[float]]] = {}
         while heap:
             if (max_boxes is not None and examined >= max_boxes) or (
-                use_gap
-                and (
-                    (undecided_scaled + pending_scaled) * gap_den <= gap_num
-                    if dyadic
-                    else undecided + pending <= gap
-                )
+                use_gap and (undecided_scaled + pending_scaled) * gap_den <= gap_num
             ):
                 early_exit = True
-                if dyadic:
-                    for entry in heap:
-                        undecided_scaled += unit >> entry[0]
-                else:
-                    for entry in heap:
-                        undecided = undecided - entry[0]
+                undecided_scaled += sum(unit >> entry[0] for entry in heap)
                 break
             # Pop a prefix of the scalar pop order: a chunk only extends
-            # while the heap's top holds at least *half* the first popped
-            # volume (one extra depth level).  Any child a chunk member
-            # generates has at most half that volume and a strictly later
-            # push counter, so the scalar sweep pops every chunk member
-            # before any such child -- the chunk is the scalar order,
-            # re-batched.
+            # while the heap's top is at most one depth level below the
+            # first popped box (at least half its volume).  Any child a
+            # chunk member generates is at least one level deeper and has
+            # a strictly later push counter, so the scalar sweep pops every
+            # chunk member before any such child -- the chunk is the scalar
+            # order, re-batched.
             chunk = [heapq.heappop(heap)]
-            first_key = chunk[0][0]
-            limit = first_key + 1 if dyadic else first_key / 2
+            limit = chunk[0][0] + 1
             while len(chunk) < kernel_chunk and heap and heap[0][0] <= limit:
                 chunk.append(heapq.heappop(heap))
             if exact_floats:
@@ -557,11 +475,7 @@ def _sweep(
             for position, entry in enumerate(chunk):
                 if (max_boxes is not None and examined >= max_boxes) or (
                     use_gap
-                    and (
-                        (undecided_scaled + pending_scaled) * gap_den <= gap_num
-                        if dyadic
-                        else undecided + pending <= gap
-                    )
+                    and (undecided_scaled + pending_scaled) * gap_den <= gap_num
                 ):
                     # Budget reached mid-chunk: the unprocessed suffix goes
                     # back on the heap with its original tuples, restoring
@@ -570,20 +484,11 @@ def _sweep(
                     interrupted = True
                     for unprocessed in chunk[position:]:
                         heapq.heappush(heap, unprocessed)
-                    if dyadic:
-                        for entry in heap:
-                            undecided_scaled += unit >> entry[0]
-                    else:
-                        for entry in heap:
-                            undecided = undecided - entry[0]
+                    undecided_scaled += sum(unit >> entry[0] for entry in heap)
                     break
-                key, _, box, depth, active = entry
-                if dyadic:
-                    scaled = unit >> depth
-                    pending_scaled -= scaled
-                else:
-                    volume = -key
-                    pending = pending - volume
+                depth, _, box, active = entry
+                scaled = unit >> depth
+                pending_scaled -= scaled
                 examined += 1
                 saved += total_constraints - len(active)
                 box_mapping: Optional[Dict[int, Interval]] = None
@@ -618,35 +523,12 @@ def _sweep(
                     continue
                 remaining = tuple(undecided_here)
                 if not remaining:
-                    if dyadic:
-                        lower_scaled += scaled
-                    else:
-                        lower = lower + volume
+                    lower_scaled += scaled
                     if accepted is not None:
                         accepted.append(box)
                     continue
-                if contract:
-                    outcome = contract_box(box, remaining, registry, argument)
-                    if outcome is None:
-                        contractions += 1
-                        contracted_volume += float(volume)
-                        continue
-                    new_box, new_remaining = outcome
-                    new_volume = new_box.volume
-                    if new_volume != volume or len(new_remaining) != len(remaining):
-                        contractions += 1
-                        contracted_volume += float(volume - new_volume)
-                        box, volume, remaining = new_box, new_volume, new_remaining
-                        if not remaining:
-                            lower = lower + volume
-                            if accepted is not None:
-                                accepted.append(box)
-                            continue
                 if depth >= max_depth:
-                    if dyadic:
-                        undecided_scaled += scaled
-                    else:
-                        undecided = undecided + volume
+                    undecided_scaled += scaled
                     if frontier_boxes is not None:
                         frontier_boxes.append(
                             (
@@ -657,7 +539,8 @@ def _sweep(
                         )
                     continue
                 child_depth = depth + 1
-                child_key = child_depth if dyadic else -(volume / 2)
+                low_child, high_child = _dyadic_split(box, depth)
+                heapq.heappush(heap, (child_depth, pushes, low_child, remaining))
                 if exact_floats:
                     # Split the float rows alongside the exact split.  The
                     # unchanged side of each child shares the parent's list
@@ -670,27 +553,11 @@ def _sweep(
                     left_hi[axis] = mid_float
                     right_lo = row_lo.copy()
                     right_lo[axis] = mid_float
-                    low_child, high_child = _dyadic_split(box, depth)
-                    heapq.heappush(
-                        heap, (child_key, pushes, low_child, child_depth, remaining)
-                    )
                     float_rows[pushes] = (row_lo, left_hi)
-                    pushes += 1
-                    heapq.heappush(
-                        heap, (child_key, pushes, high_child, child_depth, remaining)
-                    )
-                    float_rows[pushes] = (right_lo, row_hi)
-                    pushes += 1
-                else:
-                    for child in _dyadic_split(box, depth) if dyadic else box.split():
-                        heapq.heappush(
-                            heap, (child_key, pushes, child, child_depth, remaining)
-                        )
-                        pushes += 1
-                if dyadic:
-                    pending_scaled += scaled
-                else:
-                    pending = pending + volume
+                    float_rows[pushes + 1] = (right_lo, row_hi)
+                heapq.heappush(heap, (child_depth, pushes + 1, high_child, remaining))
+                pushes += 2
+                pending_scaled += scaled
                 # The scalar sweep still holds this chunk's unprocessed
                 # suffix on its heap; fold it into the peak.
                 virtual_size = len(heap) + (len(chunk) - position - 1)
@@ -698,9 +565,8 @@ def _sweep(
                     heap_peak = virtual_size
             if interrupted:
                 break
-    if dyadic:
-        lower = Fraction(lower_scaled, unit)
-        undecided = Fraction(undecided_scaled, unit)
+    lower = Fraction(lower_scaled, unit)
+    undecided = Fraction(undecided_scaled, unit)
     if stats is not None:
         # Work counters reflect the work *this* traversal performed: a
         # resumed sweep reports only its refinement here, while the result
@@ -714,9 +580,6 @@ def _sweep(
         if kernel_batches:
             stats.kernel_batches += kernel_batches
             stats.kernel_boxes += kernel_boxes
-        if contractions:
-            stats.contractions += contractions
-            stats.contracted_volume += contracted_volume
     frontier = None
     if frontier_boxes is not None and not early_exit:
         frontier = SweepFrontier(
@@ -779,7 +642,6 @@ def sweep_measure(
     resume: Optional[SweepFrontier] = None,
     collect_frontier: bool = False,
     use_kernel: bool = False,
-    contract: bool = False,
     kernel_chunk: int = _KERNEL_CHUNK,
     kernel_warmup: int = _KERNEL_WARMUP,
 ) -> SweepResult:
@@ -802,9 +664,7 @@ def sweep_measure(
 
     ``use_kernel`` batches classification through the vectorized kernel
     when the set compiles -- every field of the result stays bit-identical
-    (see the module docstring) -- and ``contract`` turns on the
-    interval-Newton contractor, which tightens bounds and is therefore a
-    result-changing knob.
+    (see the module docstring).
     """
     if resume is not None and resume.max_depth >= max_depth:
         raise ValueError(
@@ -824,7 +684,6 @@ def sweep_measure(
         resume=resume,
         collect_frontier=collect_frontier,
         use_kernel=use_kernel,
-        contract=contract,
         kernel_chunk=kernel_chunk,
         kernel_warmup=kernel_warmup,
     )

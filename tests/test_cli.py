@@ -191,3 +191,57 @@ def test_report_schedule_renders_the_anytime_table(capsys):
     assert exit_code == 0
     assert "anytime lower bounds over a depth schedule" in output
     assert "## Table 2" in output
+
+
+def test_nondefault_engine_batch_runs_inline_past_a_warm_job_cache(
+    tmp_path, capsys, monkeypatch
+):
+    """A sweep-budget flag is a non-default engine: even with ``--jobs 2``
+    against a warm ``--cache-dir`` the batch must run inline (pool workers
+    build default engines) and must not replay job results cached under the
+    default options, so its JSONL equals a plain ``--jobs 1`` run."""
+    from repro.batch import runner
+
+    cache_dir = str(tmp_path / "store")
+    warm = ["batch", "--suite", "sweep", "--jobs", "1", "--cache-dir", cache_dir]
+    assert main(warm) == 0
+    default_lines = capsys.readouterr().out
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a non-default engine must not reach the pool")
+
+    monkeypatch.setattr(runner, "_run_pool", no_pool)
+    configured = ["batch", "--suite", "sweep", "--sweep-depth", "18"]
+    assert main(configured + ["--jobs", "2", "--cache-dir", cache_dir]) == 0
+    captured = capsys.readouterr()
+    assert "job cache        : 0 hits, 3 misses" in captured.err
+    assert "cached" not in captured.err  # no progress line replays a result
+    assert main(configured + ["--jobs", "1"]) == 0
+    assert captured.out == capsys.readouterr().out
+    # The default-engine answers really differ, so a replay would show.
+    assert captured.out != default_lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "geo(1/2)", "--no-"],  # would expand to --no-sweep-kernel
+        ["verify", "geo(1/2)", "--sweep-dep", "9"],
+        ["batch", "--suite", "sweep", "--cache", "store"],
+        ["trace", "watch", "t.jsonl", "--on"],
+    ],
+)
+def test_abbreviated_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--contract", "--no-measure-cache", "--no-block-memo", "--no-block-sweep"],
+)
+def test_deleted_ablation_flags_are_rejected(flag):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "geo(1/2)", flag])

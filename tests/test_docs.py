@@ -1,5 +1,6 @@
 """Docs consistency: no dead relative links, the telemetry reference covers
-every event kind, and the CLI reference covers every flag the parser knows."""
+every event kind, and the CLI reference documents exactly the flags the
+parser knows."""
 
 import re
 from pathlib import Path
@@ -60,19 +61,33 @@ class TestTelemetryReference:
         assert not undocumented, f"event kinds missing from docs: {undocumented}"
 
 
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def parser_flags():
+    """Every long flag any (sub)command parser accepts, ``--help`` aside."""
+    flags = set()
+    for parser in iter_parsers(build_parser()):
+        for action in parser._actions:
+            flags.update(
+                option
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            )
+    return flags
+
+
 class TestCliReference:
     def test_every_flag_is_documented(self):
-        text = (REPO_ROOT / "docs" / "cli.md").read_text()
-        flags = set()
-        for parser in iter_parsers(build_parser()):
-            for action in parser._actions:
-                flags.update(
-                    option
-                    for option in action.option_strings
-                    if option.startswith("--") and option != "--help"
-                )
-        undocumented = sorted(flag for flag in flags if flag not in text)
+        documented = set(_FLAG.findall((REPO_ROOT / "docs" / "cli.md").read_text()))
+        undocumented = sorted(parser_flags() - documented)
         assert not undocumented, f"flags missing from docs/cli.md: {undocumented}"
+
+    def test_every_documented_flag_exists(self):
+        """The reverse direction: a deleted flag cannot linger in the docs."""
+        documented = set(_FLAG.findall((REPO_ROOT / "docs" / "cli.md").read_text()))
+        unknown = sorted(documented - parser_flags() - {"--help"})
+        assert not unknown, f"docs/cli.md documents unknown flags: {unknown}"
 
     def test_every_command_is_documented(self):
         text = (REPO_ROOT / "docs" / "cli.md").read_text()

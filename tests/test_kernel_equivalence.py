@@ -1,4 +1,4 @@
-"""Property tests for the vectorized sweep kernel and the box contractor.
+"""Property tests for the vectorized sweep kernel.
 
 The kernel (:mod:`repro.geometry.kernel`) is strictly a classifier: its
 float interval banks enclose the exact scalar interval evaluation from the
@@ -15,8 +15,7 @@ and therefore the chunked kernel sweep is **bit-identical** -- bounds,
 counters, frontiers -- to the scalar sweep at every chunk size, including
 chunk size 1.  Hypothesis drives randomly generated expressions over every
 vectorized primitive, random dyadic boxes, and random constraint sets
-through all of these; the contractor tests check that ``contract=True``
-can only tighten the certified bracket while remaining sound.
+through all of these.
 """
 
 from fractions import Fraction
@@ -349,113 +348,6 @@ def test_missing_numpy_falls_back_to_the_scalar_path(monkeypatch):
     )
     assert fallback == expected
     assert stats.kernel_batches == 0
-
-
-# -- the contractor: sound, and it only tightens ------------------------------
-
-
-def _library_like_set():
-    """A multi-constraint non-affine set with a fat undecided boundary."""
-    c1 = Constraint(
-        simplify_prim(
-            "sub",
-            [
-                simplify_prim(
-                    "sig", [simplify_prim("mul", [sample_var(0), sample_var(1)])]
-                ),
-                const(Fraction(11, 20)),
-            ],
-        ),
-        Relation.LE,
-    )
-    c2 = Constraint(
-        simplify_prim(
-            "sub",
-            [
-                simplify_prim(
-                    "add",
-                    [
-                        simplify_prim("exp", [simplify_prim("neg", [sample_var(2)])]),
-                        simplify_prim("mul", [sample_var(0), const(Fraction(-3, 2))]),
-                    ],
-                ),
-                const(Fraction(2, 5)),
-            ],
-        ),
-        Relation.GT,
-    )
-    return ConstraintSet([c1, c2])
-
-
-@settings(max_examples=30, deadline=None)
-@given(_constraint_sets, st.integers(min_value=2, max_value=5))
-def test_contraction_stays_sound(constraints, depth):
-    plain = sweep_measure(constraints, _DIMENSION, max_depth=depth)
-    contracted = sweep_measure(constraints, _DIMENSION, max_depth=depth, contract=True)
-    # Soundness: the bracket structure survives contraction.
-    assert contracted.lower + contracted.undecided == contracted.upper
-    assert 0 <= contracted.lower <= contracted.upper <= 1
-    # Both brackets enclose the true measure, so they must overlap: a
-    # contracted lower bound above the plain upper (or vice versa) would
-    # prove one of them unsound.  Per-field monotonicity at equal depth is
-    # deliberately *not* asserted -- shaving moves boxes off the dyadic
-    # grid, so a later bisection can straddle a boundary the aligned grid
-    # resolved; strict tightening is demonstrated on the deterministic
-    # workloads below instead.
-    assert contracted.lower <= plain.upper
-    assert plain.lower <= contracted.upper
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=3, max_value=6))
-def test_kernel_and_scalar_agree_under_contraction(depth):
-    constraints = _library_like_set()
-    scalar = sweep_measure(constraints, _DIMENSION, max_depth=depth, contract=True)
-    vectorized = sweep_measure(
-        constraints,
-        _DIMENSION,
-        max_depth=depth,
-        contract=True,
-        use_kernel=True,
-        kernel_warmup=0,
-    )
-    assert vectorized == scalar
-
-
-def test_contraction_tightens_a_nonaffine_set_strictly():
-    constraints = _library_like_set()
-    plain = sweep_measure(constraints, _DIMENSION, max_depth=9)
-    contracted = sweep_measure(constraints, _DIMENSION, max_depth=9, contract=True)
-    assert contracted.lower > plain.lower
-    assert contracted.upper < plain.upper
-
-
-def test_contraction_tightens_library_lower_bounds():
-    """End to end, ``contract=True`` narrows the certified bracket on every
-    non-affine library program and strictly raises the lower bound on at
-    least two of them at the same depth budget."""
-    from repro.lowerbound import LowerBoundEngine
-    from repro.programs.extra import nonaffine_programs
-
-    strictly_tighter = 0
-    for name, program in sorted(nonaffine_programs().items()):
-        bounds = {}
-        for contract in (False, True):
-            options = MeasureOptions(sweep_depth=10, contract=contract)
-            engine = MeasureEngine(options, cache_enabled=False)
-            lower = LowerBoundEngine(
-                strategy=program.strategy, measure_engine=engine
-            )
-            bounds[contract] = lower.lower_bound(program.applied, max_steps=35)
-        assert bounds[True].measure_gap < bounds[False].measure_gap, name
-        if program.known_probability is not None:
-            assert (
-                float(bounds[True].probability)
-                <= program.known_probability + 1e-9
-            ), name
-        if bounds[True].probability > bounds[False].probability:
-            strictly_tighter += 1
-    assert strictly_tighter >= 2
 
 
 # -- engine-level byte-identity of the kernel flag ----------------------------
